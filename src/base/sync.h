@@ -25,7 +25,10 @@
 #define BASE_SYNC_H
 
 #include <condition_variable>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <string>
 
 #include "base/threadannot.h"
 
@@ -104,6 +107,56 @@ class CondVar
 
   private:
     std::condition_variable cv_;
+};
+
+/**
+ * Process-wide registry of named mutexes for single-flight work on
+ * files. Two threads racing a load-or-create sequence on the same file
+ * (a trace-cache stem, a database image) would both miss, both do the
+ * expensive work, and both write the same paths concurrently. Callers
+ * hold the name's mutex across the sequence instead, so the first one
+ * through creates and everyone else reads the finished bytes. Distinct names stay fully parallel; the
+ * registry lock only covers the map probe.
+ *
+ * The two accessors return mutexes from the same map; they differ in
+ * role because the roles nest: a trace stem's capture may create a
+ * database image under forImage() while holding forStem(), never the
+ * reverse (tools/lockorder.txt).
+ */
+class StemLocks
+{
+  public:
+    static StemLocks &
+    instance()
+    {
+        static StemLocks locks;
+        return locks;
+    }
+
+    /** The (process-lifetime) mutex serializing work on `stem`. */
+    Mutex &
+    forStem(const std::string &stem) TLSIM_EXCLUDES(mtx_)
+    {
+        MutexLock lk(mtx_);
+        auto &slot = locks_[stem];
+        if (!slot)
+            slot = std::make_unique<Mutex>();
+        return *slot;
+    }
+
+    /** The mutex serializing creation of the image file at `path`. */
+    Mutex &
+    forImage(const std::string &path) TLSIM_EXCLUDES(mtx_)
+    {
+        return forStem(path);
+    }
+
+  private:
+    StemLocks() = default;
+
+    Mutex mtx_;
+    std::map<std::string, std::unique_ptr<Mutex>> locks_
+        TLSIM_GUARDED_BY(mtx_);
 };
 
 } // namespace tlsim

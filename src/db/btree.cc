@@ -27,6 +27,13 @@ BTree::BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
     root_ = pool_.allocPage(0);
 }
 
+BTree::BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
+             std::string name, PageId root, std::uint64_t rows)
+    : pool_(pool), tr_(tracer), cfg_(cfg), name_(std::move(name)),
+      root_(root), count_(rows)
+{
+}
+
 unsigned
 BTree::height() const
 {

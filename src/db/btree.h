@@ -35,6 +35,11 @@ class BTree
     BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
           std::string name);
 
+    /** Adopt the existing tree rooted at `root` holding `rows` records
+     *  (a database opened from an image). */
+    BTree(BufferPool &pool, Tracer &tracer, const DbConfig &cfg,
+          std::string name, PageId root, std::uint64_t rows);
+
     /** Point lookup; traces the full descent. */
     bool get(BytesView key, Bytes *val);
 
@@ -75,6 +80,7 @@ class BTree
     Cursor cursor() { return Cursor(*this); }
 
     std::uint64_t size() const { return count_; }
+    PageId root() const { return root_; }
     const std::string &name() const { return name_; }
     unsigned height() const;
 

@@ -1,5 +1,11 @@
 #include "db/bufferpool.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+
 #include "base/log.h"
 #include "core/site.h"
 #include "db/costs.h"
@@ -12,14 +18,84 @@ BufferPool::BufferPool(const DbConfig &cfg, Tracer &tracer)
 {
 }
 
+BufferPool::~BufferPool()
+{
+    if (imageFd_ >= 0)
+        ::close(imageFd_);
+}
+
+void
+BufferPool::attachImage(int fd, PageId pages)
+{
+    if (nextPage_ != 1 || imageFd_ >= 0)
+        panic("buffer pool: image attached to a non-empty pool");
+    if (pages > cfg_.maxPages)
+        panic("buffer pool: image of %u pages exceeds %u frames", pages,
+              cfg_.maxPages);
+    imageFd_ = fd;
+    imagePages_ = pages;
+    imageRead_.assign(static_cast<std::size_t>(pages) + 1, false);
+    nextPage_ = pages + 1;
+}
+
+bool
+BufferPool::writeFrames(std::FILE *f)
+{
+    // Chunk by chunk: the frames of one chunk are contiguous.
+    for (PageId first = 1; first < nextPage_; first += kPagesPerChunk) {
+        PageId n = std::min<PageId>(kPagesPerChunk, nextPage_ - first);
+        for (PageId pid = first; pid < first + n; ++pid)
+            frameAddr(pid);
+        if (std::fwrite(frameAddr(first), kPageSize, n, f) != n)
+            return false;
+    }
+    return true;
+}
+
+std::uint8_t *
+BufferPool::frameOf(unsigned idx)
+{
+    if (idx / kPagesPerChunk >= chunks_.size())
+        chunks_.resize(idx / kPagesPerChunk + 1);
+    Chunk &c = chunks_[idx / kPagesPerChunk];
+    // Uninitialized on purpose: allocPage formats every byte of a new
+    // frame and an image page is read in whole, so untouched pages
+    // never cost resident memory.
+    if (!c.mem)
+        c.mem = std::make_unique_for_overwrite<std::uint8_t[]>(
+            kChunkBytes);
+    return c.mem.get() +
+           static_cast<std::size_t>(idx % kPagesPerChunk) * kPageSize;
+}
+
 void *
-BufferPool::frameAddr(PageId pid) const
+BufferPool::frameAddr(PageId pid)
 {
     if (pid == kInvalidPage || pid >= nextPage_)
         panic("buffer pool: bad page id %u", pid);
-    unsigned idx = pid - 1;
-    return chunks_[idx / kPagesPerChunk].mem.get() +
-           static_cast<std::size_t>(idx % kPagesPerChunk) * kPageSize;
+    std::uint8_t *frame = frameOf(pid - 1);
+    if (pid <= imagePages_ && !imageRead_[pid])
+        readImagePage(pid, frame);
+    return frame;
+}
+
+void
+BufferPool::readImagePage(PageId pid, std::uint8_t *frame)
+{
+    const off_t base = static_cast<off_t>(pid) * kPageSize;
+    std::size_t done = 0;
+    while (done < kPageSize) {
+        ssize_t n = ::pread(imageFd_, frame + done, kPageSize - done,
+                            base + static_cast<off_t>(done));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            fatal("database image: cannot read page %u: %s", pid,
+                  n == 0 ? "unexpected end of file"
+                         : std::strerror(errno));
+        done += static_cast<std::size_t>(n);
+    }
+    imageRead_[pid] = true;
 }
 
 PageId
@@ -29,11 +105,7 @@ BufferPool::allocPage(std::uint8_t level)
     if (nextPage_ - 1 >= cfg_.maxPages)
         fatal("buffer pool exhausted (%u pages)", cfg_.maxPages);
 
-    unsigned idx = nextPage_ - 1;
-    if (idx / kPagesPerChunk >= chunks_.size()) {
-        chunks_.push_back(Chunk{std::make_unique<std::uint8_t[]>(
-            static_cast<std::size_t>(kPagesPerChunk) * kPageSize)});
-    }
+    std::uint8_t *frame = frameOf(nextPage_ - 1);
 
     // The page-allocator counter is shared; splits running in
     // different epochs serialize on it. Tuned mode escapes the
@@ -52,7 +124,7 @@ BufferPool::allocPage(std::uint8_t level)
     }
 
     PageId pid = nextPage_++;
-    Page::init(frameAddr(pid), pid, level);
+    Page::init(frame, pid, level);
     return pid;
 }
 

@@ -21,6 +21,15 @@ Database::createTable(std::string name)
     return static_cast<TableId>(tables_.size() - 1);
 }
 
+TableId
+Database::adoptTable(std::string name, PageId root, std::uint64_t rows)
+{
+    tables_.push_back(std::make_unique<BTree>(pool_, tr_, cfg_,
+                                              std::move(name), root,
+                                              rows));
+    return static_cast<TableId>(tables_.size() - 1);
+}
+
 void
 Database::apiCost(Pc pc, unsigned key_bytes, unsigned val_bytes)
 {

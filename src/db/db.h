@@ -61,6 +61,10 @@ class Database
     /** Create a table; returns its id. */
     TableId createTable(std::string name);
 
+    /** Register an existing tree (rooted at `root`, holding `rows`
+     *  records) as the next table; returns its id. */
+    TableId adoptTable(std::string name, PageId root, std::uint64_t rows);
+
     /** Direct index access (tests / data generation). */
     BTree &table(TableId t) { return *tables_.at(t); }
     std::size_t tableCount() const { return tables_.size(); }

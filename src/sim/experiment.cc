@@ -51,7 +51,8 @@ BenchmarkTraces::buildIndexes(unsigned line_bytes)
 }
 
 BenchmarkTraces
-captureTraces(tpcc::TxnType type, const ExperimentConfig &cfg)
+captureTraces(tpcc::TxnType type, const ExperimentConfig &cfg,
+              const std::string &db_image)
 {
     BenchmarkTraces out;
 
@@ -62,6 +63,7 @@ captureTraces(tpcc::TxnType type, const ExperimentConfig &cfg)
     orig.inputSeed = cfg.inputSeed;
     orig.loadSeed = cfg.loadSeed;
     orig.scale = cfg.scale;
+    orig.dbImage = db_image;
     out.original = tpcc::captureBenchmark(type, orig);
 
     tpcc::CaptureOptions tls = orig;
@@ -222,6 +224,7 @@ table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
                              cfg.warmupTxns,
                              traces.originalIndex.get());
     row.execMcycles = static_cast<double>(seq.makespan) / 1e6;
+    row.recordsReplayed = seq.recordsReplayed;
 
     // Workload statistics over the measured transactions of the TLS
     // trace (the decomposition the parallel bars execute).

@@ -76,9 +76,15 @@ struct ExperimentConfig
     static ExperimentConfig testPreset();
 };
 
-/** Capture both traces for a benchmark. */
+/**
+ * Capture both traces for a benchmark. Both captures open the
+ * database image `db_image` if it is valid, else the first one loads
+ * afresh and writes it (tpcc::CaptureOptions::dbImage). Empty: both
+ * load afresh.
+ */
 BenchmarkTraces captureTraces(tpcc::TxnType type,
-                              const ExperimentConfig &cfg);
+                              const ExperimentConfig &cfg,
+                              const std::string &db_image = "");
 
 /** Run one Figure 5 bar over previously captured traces. */
 RunResult runBar(Bar bar, const BenchmarkTraces &traces,
@@ -140,6 +146,7 @@ struct Table2Row
     double specInstsPerThread;
     double threadsPerTxn;    ///< mean epochs per parallel loop
     std::uint64_t epochs;
+    std::uint64_t recordsReplayed; ///< by the sequential run
 };
 
 Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg);

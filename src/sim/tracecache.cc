@@ -1,13 +1,11 @@
 #include "sim/tracecache.h"
 
 #include <filesystem>
-#include <map>
 #include <memory>
 
 #include "base/log.h"
 #include "base/stats.h"
 #include "base/sync.h"
-#include "base/threadannot.h"
 #include "core/traceindex.h"
 #include "sim/traceio.h"
 
@@ -15,41 +13,6 @@ namespace tlsim {
 namespace sim {
 
 namespace {
-
-/**
- * Per-stem capture serialization. Two simulation points wanting the
- * same (benchmark, config) capture used to race the load-or-capture
- * sequence: both would miss, both would run the expensive capture, and
- * both would write the same .trace/.idx files concurrently — a torn
- * file for any later reader. Callers now hold the stem's mutex across
- * the whole sequence, so the first caller captures and everyone else
- * loads the finished bytes ("single-flight"). Distinct stems stay
- * fully parallel; the registry lock only covers the map probe.
- */
-class StemLocks
-{
-  public:
-    static StemLocks &instance()
-    {
-        static StemLocks locks;
-        return locks;
-    }
-
-    /** The (process-lifetime) mutex serializing work on `stem`. */
-    Mutex &forStem(const std::string &stem) TLSIM_EXCLUDES(mtx_)
-    {
-        MutexLock lk(mtx_);
-        auto &slot = locks_[stem];
-        if (!slot)
-            slot = std::make_unique<Mutex>();
-        return *slot;
-    }
-
-  private:
-    Mutex mtx_;
-    std::map<std::string, std::unique_ptr<Mutex>> locks_
-        TLSIM_GUARDED_BY(mtx_);
-};
 
 /** FNV-1a, accumulated field by field. */
 struct KeyHash
@@ -75,6 +38,16 @@ struct KeyHash
     }
 };
 
+void
+mixScale(KeyHash &k, const tpcc::TpccConfig &scale)
+{
+    k.mix(scale.items);
+    k.mix(scale.districts);
+    k.mix(scale.customersPerDistrict);
+    k.mix(scale.ordersPerDistrict);
+    k.mix(scale.firstNewOrder);
+}
+
 std::string
 fileStem(tpcc::TxnType type, const ExperimentConfig &cfg)
 {
@@ -93,16 +66,26 @@ traceCacheKey(tpcc::TxnType type, const ExperimentConfig &cfg)
     KeyHash k;
     k.mix(kTraceVersion);
     k.mix(tpcc::txnTypeName(type));
-    k.mix(cfg.scale.items);
-    k.mix(cfg.scale.districts);
-    k.mix(cfg.scale.customersPerDistrict);
-    k.mix(cfg.scale.ordersPerDistrict);
-    k.mix(cfg.scale.firstNewOrder);
+    mixScale(k, cfg.scale);
     k.mix(cfg.txns);
     k.mix(cfg.inputSeed);
     k.mix(cfg.loadSeed);
     k.mix(cfg.machine.tls.spawnOverheadInsts);
     return strfmt("%016llx", static_cast<unsigned long long>(k.h));
+}
+
+std::string
+dbImagePath(const std::string &cache_dir, const ExperimentConfig &cfg)
+{
+    KeyHash k;
+    k.mix(kTraceVersion);
+    k.mix(tpcc::kDbImageVersion);
+    mixScale(k, cfg.scale);
+    k.mix(cfg.loadSeed);
+    return (std::filesystem::path(cache_dir) /
+            strfmt("TPCC-%016llx.db",
+                   static_cast<unsigned long long>(k.h)))
+        .string();
 }
 
 namespace {
@@ -187,8 +170,8 @@ captureTracesShared(tpcc::TxnType type, const ExperimentConfig &cfg,
               cache_dir.c_str(), ec.message().c_str());
 
     stats::GlobalCounters::instance().add("tracecache.capture");
-    auto traces =
-        std::make_shared<BenchmarkTraces>(captureTraces(type, cfg));
+    auto traces = std::make_shared<BenchmarkTraces>(
+        captureTraces(type, cfg, dbImagePath(cache_dir, cfg)));
     saveTraceFile(orig_path, traces->original);
     saveTraceFile(tls_path, traces->tls);
     traces->buildIndexes(line_bytes);

@@ -13,11 +13,24 @@
  * addresses, which change between processes; a reloaded trace does
  * not).
  *
+ * The loaded TPC-C database is a cache artifact too. The first capture
+ * into a directory loads it and writes `DIR/TPCC-<key>.db` (its page
+ * frames, table directory and history sequence; dbImagePath() gives
+ * the key). Every later capture of that scale and load seed, of
+ * either build and any benchmark, in this process or another, opens
+ * the image instead of loading, and reads each page the first time
+ * its transactions touch it — a few percent of the pages. The image
+ * is 191MB at full scale and about 3MB at --quick scale. It must
+ * equal a fresh load byte for byte, so tpcc::kDbImageVersion is bumped
+ * whenever TpccDb::load or the page layout changes.
+ *
  * Thread safety: captureTracesShared() may be called from concurrent
  * executor tasks. Calls for the same cache stem are serialized
  * single-flight (one capture, everyone else loads the finished
- * files); distinct stems proceed in parallel. Cache traffic is
- * counted in stats::GlobalCounters under "tracecache.*".
+ * files); distinct stems proceed in parallel. Creating the database
+ * image is single-flight as well, under its own StemLocks mutex held
+ * for the load only. Cache traffic is counted in
+ * stats::GlobalCounters under "tracecache.*" and "dbimage.*".
  */
 
 #ifndef SIM_TRACECACHE_H
@@ -41,6 +54,14 @@ using SharedTraces = std::shared_ptr<const BenchmarkTraces>;
  */
 std::string traceCacheKey(tpcc::TxnType type,
                           const ExperimentConfig &cfg);
+
+/**
+ * The database image captures under `cfg` share in `cache_dir`:
+ * `cache_dir/TPCC-<key>.db`, where `<key>` hashes the TPC-C scale, the
+ * load seed, kTraceVersion and tpcc::kDbImageVersion.
+ */
+std::string dbImagePath(const std::string &cache_dir,
+                        const ExperimentConfig &cfg);
 
 /**
  * Capture both traces of a benchmark, through the cache.

@@ -1,8 +1,18 @@
 #include "tpcc/tpcc.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
 
 #include "base/log.h"
+#include "base/stats.h"
+#include "base/sync.h"
 #include "core/site.h"
 
 namespace tlsim {
@@ -113,22 +123,159 @@ TpccDb::kHistory(std::uint64_t seq)
 // Construction and initial load
 // --------------------------------------------------------------------
 
+namespace {
+
+/** The tables in TableId order (the order of an image's directory). */
+constexpr std::pair<const char *, db::TableId Tables::*> kTableList[] = {
+    {"WAREHOUSE", &Tables::warehouse},
+    {"DISTRICT", &Tables::district},
+    {"CUSTOMER", &Tables::customer},
+    {"CUSTOMER_NAME", &Tables::customerName},
+    {"HISTORY", &Tables::history},
+    {"NEW_ORDER", &Tables::newOrder},
+    {"ORDER", &Tables::order},
+    {"ORDER_CUST", &Tables::orderCust},
+    {"ORDER_LINE", &Tables::orderLine},
+    {"ITEM", &Tables::item},
+    {"STOCK", &Tables::stock},
+};
+constexpr std::size_t kTableCount = std::size(kTableList);
+
+} // namespace
+
+/**
+ * The first page of an image file, as 64-bit words: magic, version,
+ * the five scale fields, load seed, history sequence, page count,
+ * table count, then (root, rows) per table; zero to the end of the
+ * page. Page p follows at byte offset p * kPageSize.
+ */
+struct TpccDb::ImageHeader
+{
+    static constexpr std::uint64_t kMagic = 0x4d49424443435054; // TPCCDBIM
+    static constexpr std::size_t kWords = 11 + 2 * kTableCount;
+
+    std::array<std::uint64_t, kWords> w{};
+
+    std::uint64_t loadSeed() const { return w[7]; }
+    std::uint64_t historySeq() const { return w[8]; }
+    db::PageId pages() const { return static_cast<db::PageId>(w[9]); }
+    db::PageId root(std::size_t t) const
+    {
+        return static_cast<db::PageId>(w[11 + 2 * t]);
+    }
+    std::uint64_t rows(std::size_t t) const { return w[12 + 2 * t]; }
+
+    /** The words identifying what was loaded (magic to load seed). */
+    static std::array<std::uint64_t, 8>
+    identity(const TpccConfig &cfg, std::uint64_t load_seed)
+    {
+        return {kMagic, kDbImageVersion, cfg.items, cfg.districts,
+                cfg.customersPerDistrict, cfg.ordersPerDistrict,
+                cfg.firstNewOrder, load_seed};
+    }
+};
+
 TpccDb::TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg,
                Tracer &tracer)
+    : TpccDb(cfg, std::move(db_cfg), tracer, nullptr)
+{
+}
+
+TpccDb::TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg,
+               Tracer &tracer, const ImageHeader *image)
     : cfg_(cfg), db_(std::move(db_cfg), tracer), tr_(tracer)
 {
-    t_.warehouse = db_.createTable("WAREHOUSE");
-    t_.district = db_.createTable("DISTRICT");
-    t_.customer = db_.createTable("CUSTOMER");
-    t_.customerName = db_.createTable("CUSTOMER_NAME");
-    t_.history = db_.createTable("HISTORY");
-    t_.newOrder = db_.createTable("NEW_ORDER");
-    t_.order = db_.createTable("ORDER");
-    t_.orderCust = db_.createTable("ORDER_CUST");
-    t_.orderLine = db_.createTable("ORDER_LINE");
-    t_.item = db_.createTable("ITEM");
-    t_.stock = db_.createTable("STOCK");
+    for (std::size_t t = 0; t < kTableCount; ++t) {
+        auto [name, field] = kTableList[t];
+        t_.*field = image ? db_.adoptTable(name, image->root(t),
+                                           image->rows(t))
+                          : db_.createTable(name);
+    }
+    if (image) {
+        loadSeed_ = image->loadSeed();
+        historySeq_ = image->historySeq();
+    }
     stockSeenStamps_.assign(cfg_.items + 1, 0);
+}
+
+void
+TpccDb::saveImage(const std::string &path)
+{
+    if (!loadSeed_)
+        panic("database image %s: the database was never loaded",
+              path.c_str());
+    ImageHeader h;
+    auto id = ImageHeader::identity(cfg_, *loadSeed_);
+    std::copy(id.begin(), id.end(), h.w.begin());
+    h.w[8] = historySeq_;
+    h.w[9] = db_.pool().pagesAllocated();
+    h.w[10] = kTableCount;
+    for (std::size_t t = 0; t < kTableCount; ++t) {
+        const db::BTree &tree = db_.table(static_cast<db::TableId>(t));
+        h.w[11 + 2 * t] = tree.root();
+        h.w[12 + 2 * t] = tree.size();
+    }
+    std::array<std::uint8_t, db::kPageSize> first{};
+    std::memcpy(first.data(), h.w.data(), sizeof(h.w));
+
+    std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (!f)
+        fatal("cannot write database image %s", tmp.c_str());
+    bool ok = std::fwrite(first.data(), first.size(), 1, f) == 1 &&
+              db_.pool().writeFrames(f);
+    ok = std::fclose(f) == 0 && ok;
+    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        fatal("error writing database image %s", path.c_str());
+    }
+}
+
+std::unique_ptr<TpccDb>
+TpccDb::openImage(const std::string &path, const TpccConfig &cfg,
+                  db::DbConfig db_cfg, Tracer &tracer,
+                  std::uint64_t load_seed)
+{
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return nullptr;
+
+    ImageHeader h;
+    struct stat st;
+    const char *why = nullptr;
+    if (::fstat(fd, &st) != 0 ||
+        ::pread(fd, h.w.data(), sizeof(h.w), 0) !=
+            static_cast<ssize_t>(sizeof(h.w))) {
+        why = "unreadable or truncated header";
+    } else {
+        auto id = ImageHeader::identity(cfg, load_seed);
+        if (h.w[0] != ImageHeader::kMagic)
+            why = "foreign file (bad magic)";
+        else if (h.w[1] != kDbImageVersion)
+            why = "other image version";
+        else if (!std::equal(id.begin(), id.end(), h.w.begin()))
+            why = "other scale or load seed";
+        else if (h.w[10] != kTableCount)
+            why = "bad table count";
+        else if (h.w[9] < kTableCount || h.w[9] > db_cfg.maxPages)
+            why = "bad page count";
+        else if (static_cast<std::uint64_t>(st.st_size) !=
+                 (h.w[9] + 1) * db::kPageSize)
+            why = "truncated or oversized";
+        for (std::size_t t = 0; !why && t < kTableCount; ++t)
+            if (h.root(t) == db::kInvalidPage || h.root(t) > h.pages())
+                why = "table root out of range";
+    }
+    if (why) {
+        ::close(fd);
+        inform("database image %s rejected: %s", path.c_str(), why);
+        return nullptr;
+    }
+
+    std::unique_ptr<TpccDb> tdb(
+        new TpccDb(cfg, std::move(db_cfg), tracer, &h));
+    tdb->db_.pool().attachImage(fd, h.pages());
+    return tdb;
 }
 
 namespace {
@@ -145,6 +292,7 @@ fillString(Rng &rng, char *dst, std::size_t n)
 void
 TpccDb::load(std::uint64_t seed)
 {
+    loadSeed_ = seed;
     Rng rng(seed);
 
     // ITEM
@@ -410,6 +558,47 @@ TpccDb::checkConsistency()
 // Capture driver
 // --------------------------------------------------------------------
 
+namespace {
+
+/** A database opened from the image at `opts.dbImage`, or loaded
+ *  afresh and saved there. */
+std::unique_ptr<TpccDb>
+imageDatabase(const CaptureOptions &opts, const db::DbConfig &dbc,
+              Tracer &tracer)
+{
+    // Single-flight: concurrent captures wanting the same image wait
+    // here while the first one loads and writes it. The lock covers
+    // the open-or-load only, never the transactions.
+    MutexLock image_lock(StemLocks::instance().forImage(opts.dbImage));
+    auto &gc = stats::GlobalCounters::instance();
+    if (auto tdb = TpccDb::openImage(opts.dbImage, opts.scale, dbc,
+                                     tracer, opts.loadSeed)) {
+        gc.add("dbimage.open");
+        return tdb;
+    }
+    gc.add("dbimage.create");
+    auto tdb = std::make_unique<TpccDb>(opts.scale, dbc, tracer);
+    tdb->load(opts.loadSeed);
+    tdb->saveImage(opts.dbImage);
+    return tdb;
+}
+
+WorkloadTrace
+runCapture(TxnType type, const CaptureOptions &opts, Tracer &tracer,
+           TpccDb &tdb)
+{
+    InputGen gen(opts.scale, opts.inputSeed);
+    for (unsigned i = 0; i < opts.txns; ++i) {
+        std::uint32_t sld = (i % opts.scale.districts) + 1;
+        tracer.txnBegin();
+        tdb.runTransaction(type, gen, sld);
+        tracer.txnEnd();
+    }
+    return tracer.takeWorkload();
+}
+
+} // namespace
+
 WorkloadTrace
 captureBenchmark(TxnType type, const CaptureOptions &opts)
 {
@@ -420,17 +609,15 @@ captureBenchmark(TxnType type, const CaptureOptions &opts)
 
     db::DbConfig dbc;
     dbc.tuned = opts.tlsBuild;
+    if (!opts.dbImage.empty())
+        return runCapture(type, opts, tracer,
+                          *imageDatabase(opts, dbc, tracer));
+
+    // Without an image the database lives on the stack, as it always
+    // has: its traced members keep their place in the address layout.
     TpccDb tdb(opts.scale, dbc, tracer);
     tdb.load(opts.loadSeed);
-
-    InputGen gen(opts.scale, opts.inputSeed);
-    for (unsigned i = 0; i < opts.txns; ++i) {
-        std::uint32_t sld = (i % opts.scale.districts) + 1;
-        tracer.txnBegin();
-        tdb.runTransaction(type, gen, sld);
-        tracer.txnEnd();
-    }
-    return tracer.takeWorkload();
+    return runCapture(type, opts, tracer, tdb);
 }
 
 } // namespace tpcc

@@ -16,6 +16,8 @@
 #define TPCC_TPCC_H
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,14 +44,44 @@ enum class TxnType {
 const char *txnTypeName(TxnType t);
 const std::vector<TxnType> &allBenchmarks();
 
+/**
+ * Format version of database images (TpccDb::saveImage). Bump it
+ * whenever TpccDb::load, the row layouts or the page layout change:
+ * an image is trusted to equal a fresh load byte for byte.
+ */
+inline constexpr std::uint32_t kDbImageVersion = 1;
+
 /** The TPC-C database and transaction implementations. */
 class TpccDb
 {
   public:
+    /** An empty database (every table a single empty leaf). */
     TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg, Tracer &tracer);
 
     /** Initial population per clause 4.3 (run before capturing). */
     void load(std::uint64_t seed = 7);
+
+    /**
+     * Write the loaded database to `path`: its page frames, its table
+     * directory (root page and row count per table) and the history
+     * sequence, under a header naming the scale, load seed and
+     * kDbImageVersion. Written to a temporary file renamed into place,
+     * so a reader never sees a partial image.
+     */
+    void saveImage(const std::string &path);
+
+    /**
+     * The database an image written by saveImage() holds, equal byte
+     * for byte to a fresh load(`load_seed`) at scale `cfg`. Nothing is
+     * read up front: each page is read into its frame the first time
+     * it is touched. Null if there is no file at `path`, and null
+     * after inform() naming the defect if the file is foreign,
+     * truncated, or of another scale, load seed or image version.
+     */
+    static std::unique_ptr<TpccDb>
+    openImage(const std::string &path, const TpccConfig &cfg,
+              db::DbConfig db_cfg, Tracer &tracer,
+              std::uint64_t load_seed);
 
     /** Execute one transaction with inputs drawn from `gen`. */
     void runTransaction(TxnType type, InputGen &gen,
@@ -87,6 +119,11 @@ class TpccDb
     static db::Bytes kHistory(std::uint64_t seq);
 
   private:
+    struct ImageHeader;
+
+    TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg, Tracer &tracer,
+           const ImageHeader *image);
+
     void txnNewOrder(const NewOrderInput &in);
     void txnPayment(const PaymentInput &in);
     void txnOrderStatus(const OrderStatusInput &in);
@@ -110,6 +147,7 @@ class TpccDb
     Tracer &tr_;
     Tables t_{};
 
+    std::optional<std::uint64_t> loadSeed_; ///< set once loaded
     std::uint64_t historySeq_ = 0;
     /** Shared distinct-item scratch of STOCK LEVEL (a real, hard
      *  cross-epoch dependence the paper reports as irreducible). */
@@ -133,9 +171,19 @@ struct CaptureOptions
     std::uint64_t loadSeed = 7;
     unsigned spawnOverheadInsts = 100;
     TpccConfig scale;
+    /**
+     * Database image shared by captures of this scale and load seed
+     * (TpccDb::saveImage). Opened if valid; otherwise the capture
+     * loads afresh and writes it. Empty: always load afresh.
+     */
+    std::string dbImage;
 };
 
-/** Run `opts.txns` transactions of `type` and capture their traces. */
+/**
+ * Run `opts.txns` transactions of `type` and capture their traces.
+ * Creating `opts.dbImage` is single-flight across threads (the image's
+ * StemLocks::forImage() mutex, held for the open-or-load only).
+ */
 WorkloadTrace captureBenchmark(TxnType type, const CaptureOptions &opts);
 
 } // namespace tpcc

@@ -154,6 +154,67 @@ TEST(TraceCache, ParallelSameKeySingleCapture)
     gc.reset();
 }
 
+TEST(TraceCache, ParallelDistinctBenchmarksLoadTheDatabaseOnce)
+{
+    // Every benchmark captures into one empty cache at once. The first
+    // capture to reach the database image loads the database and
+    // writes the image; the other 13 captures (7 benchmarks, 2 builds)
+    // wait for it and open the image instead of loading.
+    ExperimentConfig cfg = tinyConfig();
+    std::string dir = freshCacheDir("image");
+    auto &gc = stats::GlobalCounters::instance();
+    gc.reset();
+
+    const auto &benches = tpcc::allBenchmarks();
+    std::vector<SharedTraces> got(benches.size());
+    SimExecutor ex(4);
+    ex.parallelFor(benches.size(), [&](std::size_t i) {
+        got[i] = captureTracesShared(benches[i], cfg, dir);
+    });
+
+    for (std::size_t i = 0; i < benches.size(); ++i)
+        ASSERT_NE(got[i], nullptr) << tpcc::txnTypeName(benches[i]);
+    EXPECT_EQ(gc.value("tracecache.capture"), benches.size());
+    EXPECT_EQ(gc.value("dbimage.create"), 1u);
+    EXPECT_EQ(gc.value("dbimage.open"), 2 * benches.size() - 1);
+    EXPECT_TRUE(std::ifstream(dbImagePath(dir, cfg)).good());
+
+    // The image is the loaded database whatever the build, so the
+    // TLS-build transactions match a capture that loaded afresh.
+    SharedTraces fresh =
+        captureTracesShared(tpcc::TxnType::NewOrder, cfg, "");
+    std::size_t no = 0;
+    while (benches[no] != tpcc::TxnType::NewOrder)
+        ++no;
+    ASSERT_EQ(got[no]->tls.txns.size(), fresh->tls.txns.size());
+    for (std::size_t t = 0; t < fresh->tls.txns.size(); ++t) {
+        EXPECT_EQ(got[no]->tls.txns[t].totalInsts(),
+                  fresh->tls.txns[t].totalInsts());
+        EXPECT_EQ(got[no]->original.txns[t].totalInsts(),
+                  fresh->original.txns[t].totalInsts());
+    }
+    gc.reset();
+}
+
+TEST(TraceCache, DbImageKeyIgnoresCaptureOnlyParameters)
+{
+    ExperimentConfig base = tinyConfig();
+    std::string p0 = dbImagePath("d", base);
+
+    ExperimentConfig capture_only = base;
+    capture_only.txns += 1;
+    capture_only.inputSeed += 1;
+    capture_only.machine.tls.spawnOverheadInsts += 1;
+    EXPECT_EQ(p0, dbImagePath("d", capture_only));
+
+    ExperimentConfig other_load = base;
+    other_load.loadSeed += 1;
+    EXPECT_NE(p0, dbImagePath("d", other_load));
+    ExperimentConfig other_scale = base;
+    other_scale.scale.items += 1;
+    EXPECT_NE(p0, dbImagePath("d", other_scale));
+}
+
 TEST(TraceCache, CorruptCacheFileFallsBackToCapture)
 {
     ExperimentConfig cfg = tinyConfig();

@@ -12,6 +12,8 @@ Every bench binary writes this schema when invoked with --json=FILE:
       "jobs": <int >= 1>,
       "wall_seconds": <number >= 0>,
       "simulated_cycles": <number >= 0>,
+      "replay_records": <number >= 0>,  # > 0 when simulated_cycles > 0:
+                                      # a simulation replays records
       "audit": {                      # optional; present iff --audit
         "level": "commit"|"full",
         "invariants_checked": <number >= 0>,
@@ -368,6 +370,14 @@ def check_file(path):
         v = doc.get(key)
         if not is_num(v) or v < 0:
             ok = fail(path, f"{key!r} must be a number >= 0, got {v!r}")
+    records = doc.get("replay_records", 0)
+    if not is_num(records) or records < 0:
+        ok = fail(path, f"'replay_records' must be a number >= 0, got "
+                        f"{records!r}")
+    elif is_num(doc.get("simulated_cycles")) and \
+            doc["simulated_cycles"] > 0 and records == 0:
+        ok = fail(path, "'simulated_cycles' > 0 but 'replay_records' is "
+                        "0 (or missing): a replay went uncounted")
     if "audit" in doc:
         ok = check_audit(path, doc["audit"]) and ok
     if "modelcheck" in doc:

@@ -6,7 +6,9 @@
 #               full unit-test suite;
 #   build-tsan  ThreadSanitizer, the threaded components only (the
 #               parallel simulation executor, the capture/replay
-#               pipeline, and the benches' fan-out) - the rest of the
+#               pipeline, the benches' fan-out, and concurrent
+#               captures sharing one database image, i.e. every test
+#               named *Executor*, *Parallel* or *Shared*) - the rest of the
 #               simulator is single-threaded and TSan makes it ~10x
 #               slower for no additional coverage.
 #
