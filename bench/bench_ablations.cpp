@@ -50,9 +50,6 @@ line(const std::string &label, const RunResult &r, Cycle seq)
                 static_cast<unsigned long long>(r.overflowEvents));
     if (g_report) {
         g_report->addSimulatedCycles(static_cast<double>(r.makespan));
-        g_report->addReplayRecords(
-            static_cast<double>(r.recordsReplayed));
-        g_report->addAuditChecks(static_cast<double>(r.auditChecks));
         g_report->add(
             label,
             {{"makespan", static_cast<double>(r.makespan)},

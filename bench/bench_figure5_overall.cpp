@@ -96,9 +96,6 @@ main(int argc, char **argv)
         sim::printFigure5Row(std::cout, row);
         for (const auto &[bar, r] : row.bars) {
             report.addSimulatedCycles(static_cast<double>(r.makespan));
-            report.addReplayRecords(
-                static_cast<double>(r.recordsReplayed));
-            report.addAuditChecks(static_cast<double>(r.auditChecks));
             report.add(
                 std::string(tpcc::txnTypeName(row.type)) + "/" +
                     sim::barName(bar),

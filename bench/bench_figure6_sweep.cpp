@@ -167,10 +167,9 @@ main(int argc, char **argv)
         MachineConfig mc = cfgs[b].machine;
         mc.tls.subthreadsPerThread = k;
         mc.tls.subthreadSpacing = s;
-        TlsMachine m(mc);
-        points[b][j].run = m.run(traces[b]->tls, ExecMode::Tls,
-                                 cfgs[b].warmupTxns,
-                                 traces[b]->tlsIndex.get());
+        points[b][j].run =
+            sim::simulate(*traces[b], sim::TraceBuild::Tls, mc,
+                          ExecMode::Tls, cfgs[b].warmupTxns);
     });
 
     const std::uint64_t sweep_builds =
@@ -244,10 +243,6 @@ main(int argc, char **argv)
                           seqs[b].makespan);
         report.addSimulatedCycles(
             static_cast<double>(seqs[b].makespan));
-        report.addReplayRecords(
-            static_cast<double>(seqs[b].recordsReplayed));
-        report.addAuditChecks(
-            static_cast<double>(seqs[b].auditChecks));
         report.add(std::string(name) + "/SEQUENTIAL",
                    {{"makespan",
                      static_cast<double>(seqs[b].makespan)}});
@@ -257,10 +252,6 @@ main(int argc, char **argv)
             if (simulated) {
                 report.addSimulatedCycles(
                     static_cast<double>(p.run.makespan));
-                report.addReplayRecords(
-                    static_cast<double>(p.run.recordsReplayed));
-                report.addAuditChecks(
-                    static_cast<double>(p.run.auditChecks));
             }
             bench::BenchReport::Fields fields = {
                 {"makespan", static_cast<double>(p.run.makespan)},

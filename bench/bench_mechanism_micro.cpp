@@ -108,9 +108,6 @@ report(const char *label, const RunResult &r)
         g_replayDigests.push_back(det::hashRunResult(r));
     if (g_report) {
         g_report->addSimulatedCycles(static_cast<double>(r.makespan));
-        g_report->addReplayRecords(
-            static_cast<double>(r.recordsReplayed));
-        g_report->addAuditChecks(static_cast<double>(r.auditChecks));
         g_report->add(
             g_section + "/" + label,
             {{"makespan", static_cast<double>(r.makespan)},

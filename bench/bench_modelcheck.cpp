@@ -189,7 +189,6 @@ main(int argc, char **argv)
                           static_cast<double>(bs.auditChecks)},
                          {"divergences",
                           static_cast<double>(bs.failures)}});
-    report.addAuditChecks(static_cast<double>(bs.auditChecks));
 
     report.setModelcheck(static_cast<double>(states),
                          static_cast<double>(schedules), reduction,

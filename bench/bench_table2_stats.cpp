@@ -92,7 +92,6 @@ main(int argc, char **argv)
     sim::printTable2(std::cout, rows);
     for (const auto &r : rows) {
         report.addSimulatedCycles(r.execMcycles * 1e6);
-        report.addReplayRecords(static_cast<double>(r.recordsReplayed));
         report.add(tpcc::txnTypeName(r.type),
                    {{"exec_mcycles", r.execMcycles},
                     {"coverage", r.coverage},

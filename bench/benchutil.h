@@ -262,7 +262,9 @@ class BenchReport
                 unsigned resolved_jobs)
         : bench_(std::move(bench)), quick_(args.quick),
           jobs_(resolved_jobs), probe_(args.detProbe),
-          start_(std::chrono::steady_clock::now())
+          start_(std::chrono::steady_clock::now()),
+          records0_(counter("replay.records")),
+          checks0_(counter("audit.checks"))
     {
     }
 
@@ -283,26 +285,11 @@ class BenchReport
         simulatedCycles_ += cycles;
     }
 
-    /** Count trace records dispatched by the replay engine (the
-     *  numerator of the reported records_per_second throughput). */
-    void
-    addReplayRecords(double records)
-    {
-        replayRecords_ += records;
-    }
-
     /** Record the auditor level so write() emits the "audit" block. */
     void
     setAuditLevel(std::string level)
     {
         auditLevel_ = std::move(level);
-    }
-
-    /** Count invariant checks performed by the runtime auditor. */
-    void
-    addAuditChecks(double checks)
-    {
-        auditChecks_ += checks;
     }
 
     /**
@@ -369,14 +356,22 @@ class BenchReport
         double wall = wallSeconds();
         os << "  \"wall_seconds\": " << wall << ",\n";
         os << "  \"simulated_cycles\": " << simulatedCycles_ << ",\n";
-        os << "  \"replay_records\": " << replayRecords_ << ",\n";
+        // Records dispatched and invariants checked by the machine
+        // runs since the report opened (the "replay.records" and
+        // "audit.checks" counters): a point served from a capture's
+        // result memo runs nothing and adds nothing.
+        const double records =
+            static_cast<double>(counter("replay.records") - records0_);
+        const double checks =
+            static_cast<double>(counter("audit.checks") - checks0_);
+        os << "  \"replay_records\": " << records << ",\n";
         os << "  \"records_per_second\": "
-           << (wall > 0 ? replayRecords_ / wall : 0) << ",\n";
+           << (wall > 0 ? records / wall : 0) << ",\n";
         if (auditLevel_ != "off") {
             // The auditor throws on the first violated invariant, so a
             // report that got as far as write() always has zero.
             os << "  \"audit\": {\"level\": \"" << escape(auditLevel_)
-               << "\", \"invariants_checked\": " << auditChecks_
+               << "\", \"invariants_checked\": " << checks
                << ", \"violations\": 0},\n";
         }
         if (hasModelcheck_) {
@@ -431,6 +426,12 @@ class BenchReport
     }
 
   private:
+    static std::uint64_t
+    counter(const char *name)
+    {
+        return stats::GlobalCounters::instance().value(name);
+    }
+
     /** Render the results array body exactly as write() emits it. */
     std::string
     renderResults() const
@@ -480,10 +481,10 @@ class BenchReport
     unsigned jobs_;
     det::Probe probe_;
     std::chrono::steady_clock::time_point start_;
+    std::uint64_t records0_; ///< "replay.records" when the report opened
+    std::uint64_t checks0_;  ///< "audit.checks" when the report opened
     double simulatedCycles_ = 0;
-    double replayRecords_ = 0;
     std::string auditLevel_ = "off";
-    double auditChecks_ = 0;
     bool hasModelcheck_ = false;
     double mcStates_ = 0;
     double mcSchedules_ = 0;

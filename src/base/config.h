@@ -51,6 +51,8 @@ struct CpuConfig
     unsigned gshareBytes = 16 * 1024;///< GShare table size (16KB)
     unsigned gshareHistoryBits = 8;  ///< GShare history length
     unsigned maxOutstandingLoads = 16; ///< load MLP window inside the ROB
+
+    bool operator==(const CpuConfig &) const = default;
 };
 
 /** Memory-hierarchy parameters (Table 1, lower half). */
@@ -76,6 +78,8 @@ struct MemConfig
     unsigned crossbarBytesPerCycle = 8; ///< per bank
     unsigned memLatency = 75;       ///< min miss latency to local memory
     unsigned memCyclesPerAccess = 20; ///< main memory bandwidth limit
+
+    bool operator==(const MemConfig &) const = default;
 };
 
 /** TLS / sub-thread parameters (Section 2.2 and Section 5.1). */
@@ -143,6 +147,8 @@ struct TlsConfig
      * keeps the replay hot path untouched.
      */
     AuditLevel auditLevel = AuditLevel::Off;
+
+    bool operator==(const TlsConfig &) const = default;
 };
 
 /** Complete machine description. */
@@ -157,6 +163,9 @@ struct MachineConfig
 
     /** Human-readable dump in the shape of the paper's Table 1. */
     void print(std::ostream &os) const;
+
+    /** Field-wise, defaulted: a field added later is compared too. */
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /** The paper's BASELINE machine. */

@@ -34,17 +34,26 @@ TlsMachine::TlsMachine(const MachineConfig &cfg)
       mem_(cfg), spec_(numCpus_ * k_),
       exposed_(numCpus_), runs_(numCpus_), queues_(numCpus_)
 {
-    cfg_.validate();
-    if (numCpus_ * k_ > SpecState::kMaxContexts)
-        fatal("numCpus * subthreadsPerThread = %u exceeds the %u "
-              "supported contexts",
-              numCpus_ * k_, SpecState::kMaxContexts);
+    checkConfig(cfg_);
     cores_.reserve(numCpus_);
     for (unsigned i = 0; i < numCpus_; ++i)
         cores_.emplace_back(cfg_.cpu, i);
     mem_.setHooks(this);
     cpuSeqs_.assign(numCpus_, kNoEpoch);
     mem_.setEpochSeqArray(cpuSeqs_.data());
+}
+
+void
+TlsMachine::checkConfig(const MachineConfig &cfg)
+{
+    cfg.validate();
+    const std::uint64_t contexts =
+        std::uint64_t{cfg.tls.numCpus} * cfg.tls.subthreadsPerThread;
+    if (contexts > SpecState::kMaxContexts)
+        fatal("numCpus * subthreadsPerThread = %llu exceeds the %u "
+              "supported contexts",
+              static_cast<unsigned long long>(contexts),
+              SpecState::kMaxContexts);
 }
 
 std::uint64_t
@@ -190,6 +199,8 @@ TlsMachine::run(const WorkloadTrace &workload, ExecMode mode,
     gc.add("replay.records", out.recordsReplayed);
     gc.add("replay.runPoolHits", poolHits_);
     gc.add("replay.runPoolAllocs", poolAllocs_);
+    if (out.auditChecks)
+        gc.add("audit.checks", out.auditChecks);
     poolHits_ = 0;
     poolAllocs_ = 0;
     return out;
@@ -556,10 +567,17 @@ TlsMachine::commitEpoch(EpochRun &run)
 
 namespace {
 
-/** Index of the escape region whose EscapeBegin is at `idx`. */
+/**
+ * Index of the escape region whose EscapeBegin is at `idx`. `hint` is
+ * the region forward execution reaches next (the run's escapedDone);
+ * it is checked first, and the search runs only when it misses (a
+ * rewound run re-meeting an escape it already performed).
+ */
 unsigned
-regionOfBegin(const EpochTrace &e, std::uint32_t idx)
+regionOfBegin(const EpochTrace &e, std::uint32_t idx, unsigned hint)
 {
+    if (hint < e.escapeSpans.size() && e.escapeSpans[hint].first == idx)
+        return hint;
     auto it = std::lower_bound(
         e.escapeSpans.begin(), e.escapeSpans.end(), idx,
         [](const auto &span, std::uint32_t v) { return span.first < v; });
@@ -568,10 +586,13 @@ regionOfBegin(const EpochTrace &e, std::uint32_t idx)
     return static_cast<unsigned>(it - e.escapeSpans.begin());
 }
 
-/** Index of the escape region whose EscapeEnd is at `idx`. */
+/** Index of the escape region whose EscapeEnd is at `idx`; `hint` as
+ *  for regionOfBegin. */
 unsigned
-regionOfEnd(const EpochTrace &e, std::uint32_t idx)
+regionOfEnd(const EpochTrace &e, std::uint32_t idx, unsigned hint)
 {
+    if (hint < e.escapeSpans.size() && e.escapeSpans[hint].second == idx)
+        return hint;
     auto it = std::lower_bound(
         e.escapeSpans.begin(), e.escapeSpans.end(), idx,
         [](const auto &span, std::uint32_t v) { return span.second < v; });
@@ -661,7 +682,8 @@ TlsMachine::stepCpu(CpuId cpu)
         execLatchRelease(run, pc, v.value(run.cursor));
         break;
       case TraceOp::EscapeBegin: {
-        unsigned region = regionOfBegin(*run.trace, run.cursor);
+        unsigned region =
+            regionOfBegin(*run.trace, run.cursor, run.escapedDone);
         if (region < run.escapedDone) {
             // Already performed before a rewind: escaped work is never
             // re-executed.
@@ -676,7 +698,8 @@ TlsMachine::stepCpu(CpuId cpu)
         break;
       }
       case TraceOp::EscapeEnd: {
-        unsigned region = regionOfEnd(*run.trace, run.cursor);
+        unsigned region =
+            regionOfEnd(*run.trace, run.cursor, run.escapedDone);
         run.inEscape = false;
         run.escapedDone = std::max(run.escapedDone, region + 1);
         core.doCompute(2, ComputeClass::Int);

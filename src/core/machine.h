@@ -110,6 +110,15 @@ class TlsMachine : public TlsHooks
     explicit TlsMachine(const MachineConfig &cfg);
 
     /**
+     * Die with fatal() unless the machine supports `cfg`:
+     * MachineConfig::validate() plus the SpecState context budget
+     * (numCpus * subthreadsPerThread <= SpecState::kMaxContexts).
+     * The constructor calls it; so does anything that wants to reject
+     * a configuration before deciding whether to build a machine.
+     */
+    static void checkConfig(const MachineConfig &cfg);
+
+    /**
      * Execute a workload. The first `warmup_txns` transactions run
      * with full machine state but are excluded from the measured
      * statistics (they warm caches and the predictor).

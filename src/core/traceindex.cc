@@ -67,7 +67,8 @@ TraceIndex::builds()
 
 TraceIndex::TraceIndex(const WorkloadTrace &workload,
                        unsigned line_bytes, PrivateTag)
-    : source_(&workload), lineBytes_(line_bytes)
+    : source_(&workload), sourceTxns_(workload.txns.data()),
+      lineBytes_(line_bytes)
 {
     if (!isPowerOf2(line_bytes))
         panic("TraceIndex: line size %u not a power of two",

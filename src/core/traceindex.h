@@ -160,12 +160,20 @@ class TraceIndex
     TraceIndex(const TraceIndex &) = delete;
     TraceIndex &operator=(const TraceIndex &) = delete;
 
-    /** True if this index was built from exactly this workload object
-     *  at this line size (pointer identity, not content equality). */
+    /**
+     * True if this index was built from exactly this workload object
+     * at this line size. Identity, not content equality: the object's
+     * address and its transaction storage must both be unchanged. A
+     * workload moved into place (`traces.tls = std::move(other)`)
+     * brings other's storage and so stops matching; a copy assigned
+     * over it may reuse the old storage, so reset the index then.
+     */
     bool matches(const WorkloadTrace *workload,
                  unsigned line_bytes) const
     {
-        return source_ == workload && lineBytes_ == line_bytes;
+        return source_ == workload &&
+               sourceTxns_ == workload->txns.data() &&
+               lineBytes_ == line_bytes;
     }
 
     unsigned lineBytes() const { return lineBytes_; }
@@ -222,6 +230,7 @@ class TraceIndex
     void pack(const EpochFlags &flags);
 
     const WorkloadTrace *source_;
+    const TransactionTrace *sourceTxns_; ///< source_->txns.data() at build
     unsigned lineBytes_;
     ClassTotals totals_;
     std::size_t maxSectionLines_ = 0;

@@ -1,5 +1,7 @@
 #include "mem/l1cache.h"
 
+#include <algorithm>
+
 #include "base/log.h"
 
 namespace tlsim {
@@ -9,7 +11,10 @@ L1Cache::L1Cache(unsigned bytes, unsigned assoc, unsigned line_bytes)
 {
     if (!isPowerOf2(numSets_))
         panic("L1 set count %u not a power of two", numSets_);
-    lines_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+    std::size_t slots = static_cast<std::size_t>(numSets_) * assoc_;
+    tags_.assign(slots, kNoLine);
+    lru_.assign(slots, 0);
+    flags_.assign(slots, 0);
     flagged_.reserve(64);
 }
 
@@ -19,9 +24,8 @@ L1Cache::squashSpecWrites()
     // Flags stay set until the epoch boundary, so the list is kept.
     unsigned n = 0;
     for (std::uint32_t idx : flagged_) {
-        Line &l = lines_[idx];
-        if ((l.state & kValid) && (l.state & kSpecWritten)) {
-            l.state &= static_cast<std::uint8_t>(~kValid);
+        if (tags_[idx] != kNoLine && (flags_[idx] & kSpecWritten)) {
+            tags_[idx] = kNoLine;
             ++n;
         }
     }
@@ -32,11 +36,9 @@ void
 L1Cache::epochBoundary()
 {
     for (std::uint32_t idx : flagged_) {
-        Line &l = lines_[idx];
-        if (l.state & kStale)
-            l.state = 0; // deferred invalidation takes the line out
-        else
-            l.state &= kValid;
+        if (flags_[idx] & kStale)
+            tags_[idx] = kNoLine; // deferred invalidation takes the line out
+        flags_[idx] = 0;
     }
     flagged_.clear();
 }
@@ -44,8 +46,9 @@ L1Cache::epochBoundary()
 void
 L1Cache::reset()
 {
-    for (Line &l : lines_)
-        l = Line{};
+    std::fill(tags_.begin(), tags_.end(), kNoLine);
+    std::fill(lru_.begin(), lru_.end(), 0);
+    std::fill(flags_.begin(), flags_.end(), 0);
     flagged_.clear();
     useClock_ = 0;
     hits_ = 0;

@@ -11,20 +11,25 @@
  *
  * Performance notes (this sits on the per-record replay path):
  *  - lookups are defined inline so memsys.cc sees them;
- *  - line flags live in one state byte so flag clears are single ANDs;
+ *  - the slot arrays are split: a lookup scans only the tag array (one
+ *    set of 8-byte tags is one host cache line), and an invalid slot's
+ *    tag is kNoLine, so the scan needs no separate valid test;
+ *  - line flags live in one byte per slot so flag clears are single
+ *    ANDs;
  *  - every slot that gains a flag is appended to `flagged_`, making the
  *    per-epoch sweeps (epochBoundary / squashSpecWrites) O(flagged)
  *    instead of O(cache size). A slot may appear twice if its line is
  *    evicted and the replacement is flagged again; both sweeps are
  *    idempotent per slot, so duplicates are harmless. Flags left on an
- *    invalidated slot are unobservable — find() requires the valid bit
- *    and insert() rewrites the whole state byte — so the sweeps may
+ *    invalidated slot are unobservable — find() requires a matching tag
+ *    and insert() rewrites the slot's flag byte — so the sweeps may
  *    clear them eagerly.
  */
 
 #ifndef MEM_L1CACHE_H
 #define MEM_L1CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,52 +52,52 @@ class L1Cache
         // repeat the previous line (instruction fetch especially). The
         // cached slot is revalidated exactly like a probe, so eviction
         // or invalidation simply falls through to the full lookup.
-        Line &cl = lines_[lastIdx_];
-        if ((cl.state & kValid) && cl.lineNum == line_num) {
-            cl.lru = ++useClock_;
-            ++hits_;
-            return true;
+        std::size_t idx = lastIdx_;
+        if (tags_[idx] != line_num) {
+            idx = find(line_num);
+            if (idx == kNotFound) {
+                ++misses_;
+                return false;
+            }
+            lastIdx_ = static_cast<std::uint32_t>(idx);
         }
-        if (Line *l = find(line_num)) {
-            lastIdx_ = static_cast<std::uint32_t>(l - lines_.data());
-            l->lru = ++useClock_;
-            ++hits_;
-            return true;
-        }
-        ++misses_;
-        return false;
+        lru_[idx] = ++useClock_;
+        ++hits_;
+        return true;
     }
 
     /** Presence test without LRU side effects. */
-    bool present(Addr line_num) const { return find(line_num) != nullptr; }
+    bool present(Addr line_num) const { return find(line_num) != kNotFound; }
 
     /** Fill a line (evicting the set's LRU victim silently). */
     void
     insert(Addr line_num)
     {
-        if (find(line_num))
+        if (find(line_num) != kNotFound)
             return;
-        std::size_t set = (line_num & (numSets_ - 1)) * assoc_;
-        Line *victim = &lines_[set];
-        for (unsigned w = 0; w < assoc_; ++w) {
-            Line &l = lines_[set + w];
-            if (!(l.state & kValid)) {
-                victim = &l;
+        std::size_t set = setBase(line_num);
+        std::size_t victim = set;
+        for (std::size_t i = set; i < set + assoc_; ++i) {
+            if (tags_[i] == kNoLine) {
+                victim = i;
                 break;
             }
-            if (l.lru < victim->lru)
-                victim = &l;
+            if (lru_[i] < lru_[victim])
+                victim = i;
         }
         // Write-through L1: evicted lines are always clean; silent drop.
-        *victim = Line{line_num, ++useClock_, kValid};
+        tags_[victim] = line_num;
+        lru_[victim] = ++useClock_;
+        flags_[victim] = 0;
     }
 
     /** Drop a line if present. */
     void
     invalidate(Addr line_num)
     {
-        if (Line *l = find(line_num))
-            l->state &= static_cast<std::uint8_t>(~kValid);
+        std::size_t idx = find(line_num);
+        if (idx != kNotFound)
+            tags_[idx] = kNoLine;
     }
 
     /** Flag a present line as speculatively read by the current epoch. */
@@ -127,36 +132,28 @@ class L1Cache
     std::uint64_t misses() const { return misses_; }
 
   private:
-    static constexpr std::uint8_t kValid = 1u << 0;
-    static constexpr std::uint8_t kSpecRead = 1u << 1;
-    static constexpr std::uint8_t kSpecWritten = 1u << 2;
-    static constexpr std::uint8_t kStale = 1u << 3;
-    static constexpr std::uint8_t kFlagBits = kSpecRead | kSpecWritten |
-                                              kStale;
+    static constexpr std::uint8_t kSpecRead = 1u << 0;
+    static constexpr std::uint8_t kSpecWritten = 1u << 1;
+    static constexpr std::uint8_t kStale = 1u << 2;
+    /** Tag of an invalid slot; no line number reaches it (addresses
+     *  are shifted right by the line size). */
+    static constexpr Addr kNoLine = ~Addr{0};
+    static constexpr std::size_t kNotFound = ~std::size_t{0};
 
-    struct Line
+    std::size_t setBase(Addr line_num) const
     {
-        Addr lineNum = 0;
-        std::uint64_t lru = 0;
-        std::uint8_t state = 0;
-    };
-
-    Line *
-    find(Addr line_num)
-    {
-        std::size_t set = (line_num & (numSets_ - 1)) * assoc_;
-        for (unsigned w = 0; w < assoc_; ++w) {
-            Line &l = lines_[set + w];
-            if ((l.state & kValid) && l.lineNum == line_num)
-                return &l;
-        }
-        return nullptr;
+        return (line_num & (numSets_ - 1)) * assoc_;
     }
 
-    const Line *
+    /** Slot holding `line_num`, or kNotFound. */
+    std::size_t
     find(Addr line_num) const
     {
-        return const_cast<L1Cache *>(this)->find(line_num);
+        std::size_t set = setBase(line_num);
+        for (std::size_t i = set; i < set + assoc_; ++i)
+            if (tags_[i] == line_num)
+                return i;
+        return kNotFound;
     }
 
     void
@@ -164,19 +161,20 @@ class L1Cache
     {
         // The marks follow an access() of the same line almost always,
         // so the one-slot lookup cache resolves them without a set scan.
-        Line *l = &lines_[lastIdx_];
-        if (!((l->state & kValid) && l->lineNum == line_num) &&
-            !(l = find(line_num)))
+        std::size_t idx = lastIdx_;
+        if (tags_[idx] != line_num && (idx = find(line_num)) == kNotFound)
             return;
-        if (!(l->state & kFlagBits))
-            flagged_.push_back(
-                static_cast<std::uint32_t>(l - lines_.data()));
-        l->state |= flag;
+        if (!flags_[idx])
+            flagged_.push_back(static_cast<std::uint32_t>(idx));
+        flags_[idx] |= flag;
     }
 
     unsigned assoc_;
     unsigned numSets_;
-    std::vector<Line> lines_; ///< numSets_ * assoc_, set-major
+    // Per slot, numSets_ * assoc_ each, set-major.
+    std::vector<Addr> tags_;           ///< line number, kNoLine if invalid
+    std::vector<std::uint64_t> lru_;   ///< last-use stamp
+    std::vector<std::uint8_t> flags_;  ///< kSpecRead | kSpecWritten | kStale
     std::vector<std::uint32_t> flagged_; ///< slots that may carry flags
     std::uint32_t lastIdx_ = 0; ///< slot of the last access() hit
     std::uint64_t useClock_ = 0;

@@ -13,26 +13,28 @@ L2Cache::L2Cache(const MemConfig &cfg, VictimCache &victim)
 {
     if (!isPowerOf2(numSets_))
         panic("L2 set count %u not a power of two", numSets_);
-    entries_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+    wipeWays();
     overflowSet_.reserve(assoc_); // insert() refills it, one set at a time
 }
 
-L2Cache::Entry *
-L2Cache::find(Addr line_num, std::uint8_t version)
+void
+L2Cache::wipeWays()
 {
-    std::size_t base = setBase(line_num);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = entries_[base + w];
-        if (live(e) && e.lineNum == line_num && e.version == version)
-            return &e;
-    }
-    return nullptr;
+    std::size_t ways = static_cast<std::size_t>(numSets_) * assoc_;
+    tags_.assign(ways, 0);
+    lru_.assign(ways, 0);
+    gens_.assign(ways, 0);
+    versions_.assign(ways, kCommittedVersion);
 }
 
-const L2Cache::Entry *
+std::size_t
 L2Cache::find(Addr line_num, std::uint8_t version) const
 {
-    return const_cast<L2Cache *>(this)->find(line_num, version);
+    std::size_t base = setBase(line_num);
+    for (std::size_t i = base; i < base + assoc_; ++i)
+        if (tags_[i] == line_num && live(i) && versions_[i] == version)
+            return i;
+    return kNotFound;
 }
 
 bool
@@ -40,10 +42,9 @@ L2Cache::accessLine(Addr line_num)
 {
     std::size_t base = setBase(line_num);
     bool found = false;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = entries_[base + w];
-        if (live(e) && e.lineNum == line_num) {
-            e.lru = ++useClock_;
+    for (std::size_t i = base; i < base + assoc_; ++i) {
+        if (tags_[i] == line_num && live(i)) {
+            lru_[i] = ++useClock_;
             found = true;
         }
     }
@@ -58,42 +59,40 @@ bool
 L2Cache::presentLine(Addr line_num) const
 {
     std::size_t base = setBase(line_num);
-    for (unsigned w = 0; w < assoc_; ++w) {
-        const Entry &e = entries_[base + w];
-        if (live(e) && e.lineNum == line_num)
+    for (std::size_t i = base; i < base + assoc_; ++i)
+        if (tags_[i] == line_num && live(i))
             return true;
-    }
     return false;
 }
 
 bool
 L2Cache::hasEntry(Addr line_num, std::uint8_t version) const
 {
-    return find(line_num, version) != nullptr;
+    return find(line_num, version) != kNotFound;
 }
 
 bool
 L2Cache::insert(Addr line_num, std::uint8_t version)
 {
     std::size_t base = setBase(line_num);
+    std::size_t end = base + assoc_;
 
     // 1. One pass over the set: refresh an exact match, else note the
     //    first dead way (invalid, or stale generation).
-    Entry *invalid = nullptr;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        Entry &e = entries_[base + w];
-        if (!live(e)) {
-            if (!invalid)
-                invalid = &e;
+    std::size_t invalid = kNotFound;
+    for (std::size_t i = base; i < end; ++i) {
+        if (!live(i)) {
+            if (invalid == kNotFound)
+                invalid = i;
             continue;
         }
-        if (e.lineNum == line_num && e.version == version) {
-            e.lru = ++useClock_;
+        if (tags_[i] == line_num && versions_[i] == version) {
+            lru_[i] = ++useClock_;
             return true;
         }
     }
-    if (invalid) {
-        *invalid = Entry{line_num, ++useClock_, gen_, version, true};
+    if (invalid != kNotFound) {
+        fill(invalid, line_num, version);
         return true;
     }
 
@@ -107,21 +106,20 @@ L2Cache::insert(Addr line_num, std::uint8_t version)
     //    here, else pass 1 would have claimed the dead one.
     std::uint64_t floor = 0;
     for (;;) {
-        Entry *cand = nullptr;
-        for (unsigned w = 0; w < assoc_; ++w) {
-            Entry &e = entries_[base + w];
-            if (e.version != kCommittedVersion || e.lru < floor)
+        std::size_t cand = kNotFound;
+        for (std::size_t i = base; i < end; ++i) {
+            if (versions_[i] != kCommittedVersion || lru_[i] < floor)
                 continue;
-            if (!cand || e.lru < cand->lru)
-                cand = &e;
+            if (cand == kNotFound || lru_[i] < lru_[cand])
+                cand = i;
         }
-        if (!cand)
+        if (cand == kNotFound)
             break;
-        if (!hooks_ || !hooks_->lineHasSpecState(cand->lineNum)) {
-            *cand = Entry{line_num, ++useClock_, gen_, version, true};
+        if (!hooks_ || !hooks_->lineHasSpecState(tags_[cand])) {
+            fill(cand, line_num, version);
             return true;
         }
-        floor = cand->lru + 1;
+        floor = lru_[cand] + 1;
     }
 
     // 3. Every way holds speculative state: spill the LRU way to the
@@ -131,15 +129,13 @@ L2Cache::insert(Addr line_num, std::uint8_t version)
             return hooks_ && hooks_->lineHasSpecState(l);
         });
     if (!victim_.full()) {
-        Entry *spill = &entries_[base];
-        for (unsigned w = 1; w < assoc_; ++w) {
-            Entry &e = entries_[base + w];
-            if (e.lru < spill->lru)
-                spill = &e;
-        }
-        victim_.insert(spill->lineNum, spill->version);
+        std::size_t spill = base;
+        for (std::size_t i = base + 1; i < end; ++i)
+            if (lru_[i] < lru_[spill])
+                spill = i;
+        victim_.insert(tags_[spill], versions_[spill]);
         ++specEvictions_;
-        *spill = Entry{line_num, ++useClock_, gen_, version, true};
+        fill(spill, line_num, version);
         return true;
     }
 
@@ -147,51 +143,51 @@ L2Cache::insert(Addr line_num, std::uint8_t version)
     //    set's contents so the TLS engine can resolve it.
     ++overflows_;
     overflowSet_.clear();
-    for (unsigned w = 0; w < assoc_; ++w) {
-        const Entry &e = entries_[base + w];
-        overflowSet_.emplace_back(e.lineNum, e.version);
-    }
+    for (std::size_t i = base; i < end; ++i)
+        overflowSet_.emplace_back(tags_[i], versions_[i]);
     return false;
 }
 
 void
 L2Cache::remove(Addr line_num, std::uint8_t version)
 {
-    if (Entry *e = find(line_num, version))
-        e->valid = false;
+    std::size_t way = find(line_num, version);
+    if (way != kNotFound)
+        gens_[way] = 0;
 }
 
 bool
 L2Cache::renameToCommitted(Addr line_num, std::uint8_t version)
 {
-    Entry *e = find(line_num, version);
-    if (!e)
+    std::size_t way = find(line_num, version);
+    if (way == kNotFound)
         return false;
-    if (Entry *old = find(line_num, kCommittedVersion))
-        old->valid = false; // merge: the speculative version supersedes
-    e->version = kCommittedVersion;
+    std::size_t old = find(line_num, kCommittedVersion);
+    if (old != kNotFound)
+        gens_[old] = 0; // merge: the speculative version supersedes
+    versions_[way] = kCommittedVersion;
     return true;
 }
 
 void
 L2Cache::reset()
 {
-    // Generation bump invalidates every entry without touching them.
+    // Generation bump invalidates every way without touching them.
     // Stale lru stamps never compete: dead ways are claimed before any
-    // LRU comparison happens (insert pass 1). Entries keep valid=true
-    // forever, so when the stamp wraps a pre-wrap entry would read as
-    // live again — wipe the ways and re-seed, like LineSet::clear().
+    // LRU comparison happens (insert pass 1). When the stamp wraps, a
+    // pre-wrap way would read as live again — wipe the ways and
+    // re-seed, like LineSet::clear().
     if (++gen_ == 0) {
-        entries_.assign(entries_.size(), Entry{});
+        wipeWays();
         gen_ = 1;
     }
 #if TLSIM_POISON
     // Every way is dead now (fresh generation); scribble the canary
     // line so a lookup that bypasses the generation check can only
     // ever match poison, never a stale real line.
-    for (Entry &e : entries_)
-        if (!live(e))
-            e.lineNum = static_cast<Addr>(poison::kLine);
+    for (std::size_t i = 0; i < tags_.size(); ++i)
+        if (!live(i))
+            tags_[i] = static_cast<Addr>(poison::kLine);
 #endif
     overflowSet_.clear(); // stale overflow victims must not leak into
                           // the next run's squash decisions

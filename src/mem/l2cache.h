@@ -16,6 +16,7 @@
 #ifndef MEM_L2CACHE_H
 #define MEM_L2CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -86,15 +87,15 @@ class L2Cache
     void
     forEachEntry(Fn &&fn) const
     {
-        for (const Entry &e : entries_)
-            if (live(e))
-                fn(e.lineNum, e.version);
+        for (std::size_t i = 0; i < tags_.size(); ++i)
+            if (live(i))
+                fn(tags_[i], versions_[i]);
     }
 
     /**
      * Drop every entry between independent experiment runs. O(1): the
      * generation stamp is bumped instead of clearing the (multi-MB)
-     * entry array; entries from older generations read as invalid.
+     * way arrays; ways stamped by older generations read as invalid.
      */
     void reset();
 
@@ -107,7 +108,7 @@ class L2Cache
     void
     debugSetGeneration(std::uint32_t g)
     {
-        entries_.assign(entries_.size(), Entry{});
+        wipeWays();
         overflowSet_.clear();
         useClock_ = 0;
         gen_ = g == 0 ? 1 : g;
@@ -119,32 +120,48 @@ class L2Cache
     std::uint64_t overflows() const { return overflows_; }
 
   private:
-    struct Entry
-    {
-        Addr lineNum = 0;
-        std::uint64_t lru = 0;
-        std::uint32_t gen = 0; ///< generation that wrote this entry
-        std::uint8_t version = kCommittedVersion;
-        bool valid = false;
-    };
+    static constexpr std::size_t kNotFound = ~std::size_t{0};
 
-    /** An entry holds data iff it was written in the current generation. */
-    bool live(const Entry &e) const { return e.valid && e.gen == gen_; }
+    /**
+     * A way holds data iff it was written in the current generation;
+     * remove() and merges kill a way by zeroing its stamp (gen_ is
+     * never 0).
+     */
+    bool live(std::size_t way) const { return gens_[way] == gen_; }
 
     std::size_t setBase(Addr line_num) const
     {
         return (line_num & (numSets_ - 1)) * assoc_;
     }
 
-    Entry *find(Addr line_num, std::uint8_t version);
-    const Entry *find(Addr line_num, std::uint8_t version) const;
+    /** Way holding (line, version), or kNotFound. */
+    std::size_t find(Addr line_num, std::uint8_t version) const;
+
+    /** Fill `way` with (line, version) in the current generation. */
+    void
+    fill(std::size_t way, Addr line_num, std::uint8_t version)
+    {
+        tags_[way] = line_num;
+        lru_[way] = ++useClock_;
+        gens_[way] = gen_;
+        versions_[way] = version;
+    }
+
+    /** Every way dead, stamps at 0 (constructor, wrap, test seam). */
+    void wipeWays();
 
     const TlsHooks *hooks_ = nullptr;
     VictimCache &victim_;
     unsigned assoc_;
     unsigned numSets_;
     unsigned numBanks_;
-    std::vector<Entry> entries_;
+    // Per way, numSets_ * assoc_ each, set-major. A lookup scans the
+    // tags (one set is one host cache line) and reads the other
+    // arrays only for a matching way.
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lru_;          ///< last-use stamp
+    std::vector<std::uint32_t> gens_;         ///< writing generation; 0 = dead
+    std::vector<std::uint8_t> versions_;      ///< CPU slot or kCommittedVersion
     std::uint32_t gen_ = 1; ///< current generation (0 = never written)
     std::vector<std::pair<Addr, std::uint8_t>> overflowSet_;
     std::uint64_t useClock_ = 0;

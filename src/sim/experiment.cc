@@ -1,6 +1,9 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
+
 #include "base/log.h"
+#include "base/stats.h"
 #include "sim/executor.h"
 #include "verify/auditor.h"
 
@@ -75,40 +78,152 @@ captureTraces(tpcc::TxnType type, const ExperimentConfig &cfg,
     return out;
 }
 
+ResultMemo &
+ResultMemo::operator=(const ResultMemo &other)
+{
+    if (this != &other) {
+        MutexLock lk(mtx_);
+        entries_.clear();
+    }
+    return *this;
+}
+
+RunResult
+ResultMemo::getOrRun(const Key &key,
+                     const std::function<RunResult()> &run)
+{
+    stats::GlobalCounters &gc = stats::GlobalCounters::instance();
+    std::size_t slot = 0;
+    bool found = false;
+    RunResult result;
+    std::exception_ptr error;
+    {
+        UniqueLock lk(mtx_);
+        while (slot < entries_.size() && !(entries_[slot].key == key))
+            ++slot;
+        found = slot < entries_.size();
+        if (found) {
+            while (!entries_[slot].done)
+                ready_.wait(lk);
+            result = entries_[slot].result;
+            error = entries_[slot].error;
+        } else {
+            entries_.emplace_back();
+            entries_.back().key = key;
+        }
+    }
+    // Counted and run outside the lock: the memo lock nests with
+    // nothing (tools/lockorder.txt).
+    gc.add(found ? "sim.memo.hit" : "sim.memo.miss");
+    if (!found) {
+        try {
+            result = run();
+        } catch (...) {
+            error = std::current_exception();
+        }
+        {
+            MutexLock lk(mtx_);
+            Entry &e = entries_[slot];
+            e.done = true;
+            e.result = result;
+            e.error = error;
+        }
+        ready_.notify_all();
+    }
+    if (error)
+        std::rethrow_exception(error);
+    return result;
+}
+
+std::size_t
+ResultMemo::keyCount() const
+{
+    MutexLock lk(mtx_);
+    return entries_.size();
+}
+
+namespace {
+
+/** Largest speculative instruction count of any parallel epoch. */
+std::uint64_t
+maxSpecInsts(const WorkloadTrace &w)
+{
+    std::uint64_t most = 0;
+    for (const TransactionTrace &txn : w.txns)
+        for (const TraceSection &sec : txn.sections)
+            if (sec.parallel)
+                for (const EpochTrace &e : sec.epochs)
+                    most = std::max<std::uint64_t>(most,
+                                                   e.specInstCount);
+    return most;
+}
+
+/**
+ * The configuration that stands for `mc` on `w`: the sub-thread count
+ * reduced to the contexts a fixed-spacing epoch of `w` can reach
+ * (simulate()'s comment; DESIGN.md section 4.1).
+ */
+MachineConfig
+effectiveConfig(const MachineConfig &mc, ExecMode mode,
+                const WorkloadTrace &w)
+{
+    MachineConfig eff = mc;
+    TlsConfig &t = eff.tls;
+    if (mode != ExecMode::Tls || t.adaptiveSpacing || t.riskPlacement)
+        return eff;
+    const std::uint64_t reach = 1 + maxSpecInsts(w) / t.subthreadSpacing;
+    if (reach < t.subthreadsPerThread)
+        t.subthreadsPerThread = static_cast<unsigned>(reach);
+    if (t.subthreadsPerThread == 1)
+        t.subthreadSpacing = TlsConfig{}.subthreadSpacing;
+    return eff;
+}
+
+} // namespace
+
+RunResult
+simulate(const BenchmarkTraces &traces, TraceBuild which,
+         const MachineConfig &machine, ExecMode mode, unsigned warmup)
+{
+    TlsMachine::checkConfig(machine);
+    const bool orig = which == TraceBuild::Original;
+    const WorkloadTrace &trace = orig ? traces.original : traces.tls;
+    const std::shared_ptr<const TraceIndex> &index =
+        orig ? traces.originalIndex : traces.tlsIndex;
+
+    if (!index || !index->matches(&trace, machine.mem.lineBytes)) {
+        stats::GlobalCounters::instance().add("sim.memo.miss");
+        TlsMachine m(machine);
+        return verify::runWithAudit(m, trace, mode, warmup);
+    }
+    const ResultMemo::Key key{&trace, index, mode, warmup,
+                              effectiveConfig(machine, mode, trace)};
+    return traces.results.getOrRun(key, [&] {
+        TlsMachine m(key.machine);
+        return verify::runWithAudit(m, trace, mode, warmup, index.get());
+    });
+}
+
 RunResult
 runBar(Bar bar, const BenchmarkTraces &traces,
        const ExperimentConfig &cfg)
 {
     MachineConfig mc = cfg.machine;
-    const TraceIndex *orig_idx = traces.originalIndex.get();
-    const TraceIndex *tls_idx = traces.tlsIndex.get();
+    const unsigned w = cfg.warmupTxns;
     switch (bar) {
-      case Bar::Sequential: {
-        TlsMachine m(mc);
-        return verify::runWithAudit(m, traces.original, ExecMode::Serial, cfg.warmupTxns,
-                     orig_idx);
-      }
-      case Bar::TlsSeq: {
-        TlsMachine m(mc);
-        return verify::runWithAudit(m, traces.tls, ExecMode::Serial, cfg.warmupTxns,
-                     tls_idx);
-      }
-      case Bar::NoSubthread: {
+      case Bar::Sequential:
+        return simulate(traces, TraceBuild::Original, mc,
+                        ExecMode::Serial, w);
+      case Bar::TlsSeq:
+        return simulate(traces, TraceBuild::Tls, mc, ExecMode::Serial, w);
+      case Bar::NoSubthread:
         mc.tls.subthreadsPerThread = 1;
-        TlsMachine m(mc);
-        return verify::runWithAudit(m, traces.tls, ExecMode::Tls, cfg.warmupTxns,
-                     tls_idx);
-      }
-      case Bar::Baseline: {
-        TlsMachine m(mc);
-        return verify::runWithAudit(m, traces.tls, ExecMode::Tls, cfg.warmupTxns,
-                     tls_idx);
-      }
-      case Bar::NoSpeculation: {
-        TlsMachine m(mc);
-        return verify::runWithAudit(m, traces.tls, ExecMode::NoSpeculation,
-                     cfg.warmupTxns, tls_idx);
-      }
+        return simulate(traces, TraceBuild::Tls, mc, ExecMode::Tls, w);
+      case Bar::Baseline:
+        return simulate(traces, TraceBuild::Tls, mc, ExecMode::Tls, w);
+      case Bar::NoSpeculation:
+        return simulate(traces, TraceBuild::Tls, mc,
+                        ExecMode::NoSpeculation, w);
     }
     panic("unknown bar");
 }
@@ -133,11 +248,8 @@ runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg)
 {
     BenchmarkTraces traces = captureTraces(type, cfg);
     traces.buildIndexes(cfg.machine.mem.lineBytes);
-    Figure5Row row;
-    row.type = type;
-    for (Bar b : allBars())
-        row.bars.emplace_back(b, runBar(b, traces, cfg));
-    return row;
+    SimExecutor serial(1);
+    return runFigure5(type, cfg, traces, serial);
 }
 
 Figure5Row
@@ -170,11 +282,9 @@ runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
         MachineConfig mc = cfg.machine;
         mc.tls.subthreadsPerThread = k;
         mc.tls.subthreadSpacing = s;
-        TlsMachine m(mc);
         out[i] = {k, s,
-                  verify::runWithAudit(m, traces.tls, ExecMode::Tls,
-                                       cfg.warmupTxns,
-                                       traces.tlsIndex.get())};
+                  simulate(traces, TraceBuild::Tls, mc, ExecMode::Tls,
+                           cfg.warmupTxns)};
     });
     return out;
 }
@@ -186,21 +296,8 @@ runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
 {
     BenchmarkTraces traces = captureTraces(type, cfg);
     traces.buildIndexes(cfg.machine.mem.lineBytes);
-    std::vector<SweepPoint> out;
-    for (unsigned k : counts) {
-        for (std::uint64_t s : spacings) {
-            MachineConfig mc = cfg.machine;
-            mc.tls.subthreadsPerThread = k;
-            mc.tls.subthreadSpacing = s;
-            TlsMachine m(mc);
-            out.push_back(
-                {k, s,
-                 verify::runWithAudit(m, traces.tls, ExecMode::Tls,
-                                      cfg.warmupTxns,
-                                      traces.tlsIndex.get())});
-        }
-    }
-    return out;
+    SimExecutor serial(1);
+    return runFigure6(type, cfg, counts, spacings, traces, serial);
 }
 
 Table2Row
@@ -218,13 +315,8 @@ table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
     Table2Row row{};
     row.type = type;
 
-    TlsMachine m(cfg.machine);
-    RunResult seq =
-        verify::runWithAudit(m, traces.original, ExecMode::Serial,
-                             cfg.warmupTxns,
-                             traces.originalIndex.get());
+    const RunResult seq = runBar(Bar::Sequential, traces, cfg);
     row.execMcycles = static_cast<double>(seq.makespan) / 1e6;
-    row.recordsReplayed = seq.recordsReplayed;
 
     // Workload statistics over the measured transactions of the TLS
     // trace (the decomposition the parallel bars execute).

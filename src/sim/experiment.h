@@ -14,11 +14,16 @@
 #ifndef SIM_EXPERIMENT_H
 #define SIM_EXPERIMENT_H
 
+#include <cstddef>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "base/config.h"
+#include "base/sync.h"
+#include "base/threadannot.h"
 #include "core/machine.h"
 #include "core/trace.h"
 #include "tpcc/tpcc.h"
@@ -40,6 +45,71 @@ enum class Bar {
 const char *barName(Bar b);
 const std::vector<Bar> &allBars();
 
+/** Which of a benchmark's two captures a simulation point replays. */
+enum class TraceBuild {
+    Original, ///< BenchmarkTraces::original
+    Tls,      ///< BenchmarkTraces::tls
+};
+
+/**
+ * The results of the simulation points already run over one capture
+ * (see simulate()). Thread-safe: executor tasks share it through a
+ * const BenchmarkTraces. A copy starts empty, because the entries are
+ * keyed by the addresses of the traces they were run on.
+ */
+class ResultMemo
+{
+  public:
+    /** Everything a run's result depends on. */
+    struct Key
+    {
+        const WorkloadTrace *trace = nullptr;
+        /** Identity only. Holding it keeps the index alive, so a
+         *  rebuilt index can never reuse this one's address. */
+        std::shared_ptr<const TraceIndex> index;
+        ExecMode mode = ExecMode::Serial;
+        unsigned warmup = 0;
+        MachineConfig machine;
+
+        /** Defaulted, so no field can be left out of the match. */
+        bool operator==(const Key &) const = default;
+    };
+
+    ResultMemo() = default;
+    ResultMemo(const ResultMemo &) {}
+    ResultMemo &operator=(const ResultMemo &other) TLSIM_EXCLUDES(mtx_);
+
+    /**
+     * The result for `key`: `run()` computes it on the first call and
+     * later calls return the stored copy. Concurrent calls with one key
+     * are single-flight: one caller runs, the others wait for it. An
+     * exception from `run` is stored and rethrown to every caller.
+     * Counts "sim.memo.hit" or "sim.memo.miss" in
+     * stats::GlobalCounters.
+     */
+    RunResult getOrRun(const Key &key,
+                       const std::function<RunResult()> &run)
+        TLSIM_EXCLUDES(mtx_);
+
+    /** Number of distinct keys seen so far. */
+    std::size_t keyCount() const TLSIM_EXCLUDES(mtx_);
+
+  private:
+    struct Entry
+    {
+        Key key;
+        bool done = false;
+        RunResult result;
+        std::exception_ptr error;
+    };
+
+    mutable Mutex mtx_;
+    CondVar ready_; ///< some entry became done
+    /** Insertion order; searched linearly (a few hundred entries at
+     *  most, each lookup far cheaper than the run it saves). */
+    std::vector<Entry> entries_ TLSIM_GUARDED_BY(mtx_);
+};
+
 /** The two captures a benchmark needs. */
 struct BenchmarkTraces
 {
@@ -60,6 +130,9 @@ struct BenchmarkTraces
     /** Analyse both workloads (no-op if already built for this
      *  object; must be re-run if the traces are moved/reassigned). */
     void buildIndexes(unsigned line_bytes);
+
+    /** Results of simulate() over these traces, filled on demand. */
+    mutable ResultMemo results;
 };
 
 /** Experiment-wide knobs. */
@@ -86,6 +159,34 @@ BenchmarkTraces captureTraces(tpcc::TxnType type,
                               const ExperimentConfig &cfg,
                               const std::string &db_image = "");
 
+/**
+ * Run one simulation point: `which` capture of `traces`, replayed on
+ * `machine` in `mode` with `warmup` warm-up transactions. Every
+ * experiment below simulates through here, so a point that another
+ * artifact (or another bar) already ran over the same traces is
+ * served from BenchmarkTraces::results instead of being replayed
+ * again; hits and runs count as "sim.memo.hit"/"sim.memo.miss" in
+ * stats::GlobalCounters.
+ *
+ * Points that cannot differ share one entry: for ExecMode::Tls with
+ * fixed spacing (no adaptiveSpacing, no riskPlacement), the key's
+ * sub-thread count is
+ * min(k, 1 + maxSpec / spacing), where maxSpec is the largest
+ * speculative instruction count of any parallel epoch, because
+ * sub-thread j only starts once an epoch has run j * spacing
+ * speculative instructions (DESIGN.md section 4.1). With one context
+ * the spacing is never read and the key uses the default. The
+ * reduced configuration is what runs, so the result of a key does not
+ * depend on which of its points came first.
+ *
+ * An invalid `machine` dies in TlsMachine::checkConfig before any of
+ * this. Without a built index for the trace (buildIndexes()) the
+ * point runs directly and is not stored.
+ */
+RunResult simulate(const BenchmarkTraces &traces, TraceBuild which,
+                   const MachineConfig &machine, ExecMode mode,
+                   unsigned warmup);
+
 /** Run one Figure 5 bar over previously captured traces. */
 RunResult runBar(Bar bar, const BenchmarkTraces &traces,
                  const ExperimentConfig &cfg);
@@ -101,12 +202,13 @@ struct Figure5Row
     double speedup(Bar b) const;
 };
 
+/** Capture, index, then the executor variant on one worker. */
 Figure5Row runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg);
 
 /**
- * Parallel variant over previously captured traces: the five bars fan
- * out across `ex`. Bit-identical to the serial runFigure5 (each bar is
- * an independent, self-contained machine run).
+ * Figure 5 over previously captured traces: the five bars fan out
+ * across `ex`. Bit-identical for any job count (each bar is an
+ * independent, self-contained machine run).
  */
 Figure5Row runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg,
                       const BenchmarkTraces &traces, SimExecutor &ex);
@@ -119,16 +221,17 @@ struct SweepPoint
     RunResult run;
 };
 
+/** Capture, index, then the executor variant on one worker. */
 std::vector<SweepPoint>
 runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
            const std::vector<unsigned> &counts,
            const std::vector<std::uint64_t> &spacings);
 
 /**
- * Parallel variant over previously captured traces: all
- * (count, spacing) points fan out across `ex`. Results are placed by
- * index, so the output vector is bit-identical to the serial sweep no
- * matter how the points are scheduled.
+ * Figure 6 over previously captured traces: all (count, spacing)
+ * points, count-major, fan out across `ex`. Results are placed by
+ * index, so the output vector is bit-identical no matter how the
+ * points are scheduled.
  */
 std::vector<SweepPoint>
 runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
@@ -146,12 +249,13 @@ struct Table2Row
     double specInstsPerThread;
     double threadsPerTxn;    ///< mean epochs per parallel loop
     std::uint64_t epochs;
-    std::uint64_t recordsReplayed; ///< by the sequential run
 };
 
+/** Capture, index, then the variant below. */
 Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg);
 
-/** Table 2 over previously captured traces (no re-capture). */
+/** Table 2 over previously captured traces (no re-capture); the
+ *  sequential time is runBar(Bar::Sequential, ...). */
 Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
                     const BenchmarkTraces &traces);
 
