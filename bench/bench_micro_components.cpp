@@ -11,6 +11,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,12 +20,14 @@
 #include "bench/benchutil.h"
 #include "core/machine.h"
 #include "core/site.h"
+#include "core/traceindex.h"
 #include "core/tracer.h"
 #include "cpu/gshare.h"
 #include "db/btree.h"
 #include "db/page.h"
 #include "mem/l1cache.h"
 #include "mem/l2cache.h"
+#include "sim/traceio.h"
 
 using namespace tlsim;
 
@@ -374,6 +377,138 @@ BM_TraceCapture(benchmark::State &state)
 }
 BENCHMARK(BM_TraceCapture);
 
+// ----- trace codec: v4 encode, decode and index build ----------------
+//
+// The workload is generated from fixed integers, not captured from
+// host memory, so every process and build times exactly the same
+// bytes: TPC-C-like parallel sections of near-sequential accesses with
+// occasional far jumps, compute and branch records, and latch-holding
+// escapes.
+
+/** 24 epochs x 3000 records of synthetic, address-free trace. */
+const WorkloadTrace &
+codecTrace()
+{
+    static const WorkloadTrace w = [] {
+        Rng rng(16);
+        WorkloadTrace out;
+        TransactionTrace txn;
+        TraceSection sec;
+        sec.parallel = true;
+        std::uint64_t heap = 0x7f3a00000000ull;
+        for (int e = 0; e < 24; ++e) {
+            EpochTrace et;
+            std::uint64_t addr = heap + 0x100000 * e;
+            while (et.records.size() < 3000) {
+                auto pc = static_cast<Pc>(rng.uniform(0, 199));
+                TraceRecord r{TraceOp::Compute, 0, 0, pc,
+                              static_cast<std::uint64_t>(
+                                  rng.uniform(1, 60))};
+                std::int64_t kind = rng.uniform(0, 99);
+                if (kind < 60) {
+                    addr = rng.chance(0.97)
+                               ? addr + 8 * rng.uniform(-6, 8)
+                               : heap + 8 * rng.uniform(0, 1 << 18);
+                    r.op = kind < 40 ? TraceOp::Load : TraceOp::Store;
+                    r.size = 8;
+                    r.aux = 1 << kAuxInstShift;
+                    r.addr = addr;
+                } else if (kind < 75) {
+                    r.op = TraceOp::Branch;
+                    r.aux = rng.chance(0.6) ? kAuxTaken : 0;
+                    r.addr = 0;
+                } else if (kind == 99) {
+                    auto b = static_cast<std::uint32_t>(
+                        et.records.size());
+                    et.records.push_back(
+                        {TraceOp::EscapeBegin, 0, 0, pc, 0});
+                    et.records.push_back(
+                        {TraceOp::LatchAcquire, 0, 0, pc, 7});
+                    et.records.push_back(
+                        {TraceOp::LatchRelease, 0, 0, pc, 7});
+                    r.op = TraceOp::EscapeEnd;
+                    r.addr = 0;
+                    et.escapeSpans.emplace_back(b, b + 3);
+                }
+                et.records.push_back(r);
+            }
+            for (const TraceRecord &r : et.records)
+                et.instCount += recordInsts(r);
+            et.specInstCount = et.instCount;
+            sec.epochs.push_back(std::move(et));
+        }
+        txn.sections.push_back(std::move(sec));
+        out.txns.push_back(std::move(txn));
+        return out;
+    }();
+    return w;
+}
+
+std::int64_t
+codecRecords()
+{
+    std::int64_t n = 0;
+    for (const EpochTrace &e : codecTrace().txns[0].sections[0].epochs)
+        n += static_cast<std::int64_t>(e.records.size());
+    return n;
+}
+
+// Both codec benchmarks run against in-memory streams, rewound each
+// iteration: the buffers stay allocated, so they time the codec at
+// memory speed rather than the file system.
+
+void
+BM_TraceSave(benchmark::State &state)
+{
+    const WorkloadTrace &w = codecTrace();
+    std::ostringstream os;
+    std::int64_t bytes = 0;
+    for (auto _ : state) {
+        os.seekp(0);
+        sim::saveTrace(os, w);
+        bytes += static_cast<std::int64_t>(os.tellp());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * codecRecords());
+    state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_TraceSave);
+
+void
+BM_TraceLoad(benchmark::State &state)
+{
+    std::ostringstream os;
+    sim::saveTrace(os, codecTrace());
+    const auto bytes = static_cast<std::int64_t>(os.tellp());
+    std::istringstream is(os.str());
+    for (auto _ : state) {
+        is.clear();
+        is.seekg(0);
+        WorkloadTrace w;
+        if (!sim::loadTrace(is, &w))
+            state.SkipWithError("codec trace rejected");
+        benchmark::DoNotOptimize(w.txns.data());
+    }
+    state.SetItemsProcessed(state.iterations() * codecRecords());
+    state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_TraceLoad);
+
+void
+BM_TraceIndexBuild(benchmark::State &state)
+{
+    const WorkloadTrace &w = codecTrace();
+    for (auto _ : state) {
+        TraceIndex idx(w, 32);
+        benchmark::DoNotOptimize(idx.totals().conflict);
+    }
+    // Bytes: the in-memory records the analysis reads.
+    state.SetItemsProcessed(state.iterations() * codecRecords());
+    state.SetBytesProcessed(state.iterations() * codecRecords() *
+                            std::int64_t{sizeof(TraceRecord)});
+}
+BENCHMARK(BM_TraceIndexBuild);
+
 /**
  * Reporter that tees per-benchmark results into the tlsim-bench-v1
  * JSON report while still printing the normal console table.
@@ -397,10 +532,12 @@ class CollectingReporter : public benchmark::ConsoleReporter
                 {"iterations",
                  static_cast<double>(run.iterations)},
             };
-            auto it = run.counters.find("items_per_second");
-            if (it != run.counters.end())
-                fields.emplace_back("items_per_second",
-                                    it->second.value);
+            for (const char *rate :
+                 {"items_per_second", "bytes_per_second"}) {
+                auto it = run.counters.find(rate);
+                if (it != run.counters.end())
+                    fields.emplace_back(rate, it->second.value);
+            }
             report_.add(run.benchmark_name(), std::move(fields));
         }
         ConsoleReporter::ReportRuns(runs);

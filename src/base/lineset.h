@@ -83,6 +83,35 @@ class LineSet
 
     bool contains(Addr line) const { return findSlot(line) != kNotFound; }
 
+    /** index() of a line that is not in the set. */
+    static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+    /**
+     * Position of `line` in the insertion order, adding it first if
+     * absent (`*fresh` says which). While nothing is erased the
+     * positions are stable, so a caller can keep per-line values in a
+     * parallel array.
+     */
+    std::uint32_t
+    index(Addr line, bool *fresh)
+    {
+        std::uint32_t at = index(line);
+        *fresh = at == kAbsent;
+        if (*fresh) {
+            at = static_cast<std::uint32_t>(list_.size());
+            insert(line);
+        }
+        return at;
+    }
+
+    /** Position of `line` in the insertion order, or kAbsent. */
+    std::uint32_t
+    index(Addr line) const
+    {
+        std::size_t idx = findSlot(line);
+        return idx == kNotFound ? kAbsent : slots_[idx].idx;
+    }
+
     /** unordered_set-compatible membership count (0 or 1). */
     std::size_t count(Addr line) const { return contains(line) ? 1 : 0; }
 

@@ -6,10 +6,10 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <unordered_map>
+#include <vector>
 
 #include "base/addr.h"
-#include "base/detorder.h"
+#include "base/lineset.h"
 #include "base/log.h"
 #include "base/narrow.h"
 
@@ -114,8 +114,13 @@ TraceIndex::analyse(EpochFlags &flags)
         bool multi = false;                   ///< >1 accessing epoch
     };
 
-    std::unordered_map<Addr, LineInfo> lines;
-    std::unordered_map<Addr, std::uint32_t> own;
+    // Flat tables with parallel value arrays, reused across sections
+    // and epochs; positions follow trace order, so the class totals
+    // below are summed deterministically without sorting.
+    LineSet lines;
+    std::vector<LineInfo> info;
+    LineSet own;
+    std::vector<std::uint32_t> ownMask;
 
     for (const TransactionTrace &txn : source_->txns) {
         for (const TraceSection &sec : txn.sections) {
@@ -127,13 +132,17 @@ TraceIndex::analyse(EpochFlags &flags)
 
             // Pass 1: per-line access summary across the epochs.
             lines.clear();
+            info.clear();
             for (std::uint32_t ei = 0; ei < sec.epochs.size(); ++ei) {
                 for (const TraceRecord &r : sec.epochs[ei].records) {
                     if (!isMemOp(r.op))
                         continue;
-                    Addr line = geom.lineNum(r.addr);
-                    auto [it, fresh] = lines.try_emplace(line);
-                    LineInfo &li = it->second;
+                    bool fresh = false;
+                    std::uint32_t at =
+                        lines.index(geom.lineNum(r.addr), &fresh);
+                    if (fresh)
+                        info.emplace_back();
+                    LineInfo &li = info[at];
                     if (fresh)
                         li.firstEpoch = ei;
                     else if (li.firstEpoch != ei)
@@ -144,7 +153,7 @@ TraceIndex::analyse(EpochFlags &flags)
                 }
             }
 
-            for (const auto &[line, li] : det::OrderedView(lines)) {
+            for (const LineInfo &li : info) {
                 if (li.minStore != kNoEpochIdx &&
                     li.lastEpoch > li.minStore)
                     ++totals_.conflict;
@@ -161,6 +170,7 @@ TraceIndex::analyse(EpochFlags &flags)
                 flags.emplace_back(e.records.size(), 0);
                 std::vector<std::uint8_t> &f = flags.back();
                 own.clear();
+                ownMask.clear();
                 bool esc = false;
                 for (std::size_t i = 0; i < e.records.size(); ++i) {
                     const TraceRecord &r = e.records[i];
@@ -175,7 +185,7 @@ TraceIndex::analyse(EpochFlags &flags)
                     if (!isMemOp(r.op))
                         continue;
                     Addr line = geom.lineNum(r.addr);
-                    const LineInfo &li = lines.at(line);
+                    const LineInfo &li = info[lines.index(line)];
                     if (li.minStore != kNoEpochIdx &&
                         li.lastEpoch > li.minStore)
                         f[i] |= 1; // conflict candidate
@@ -183,11 +193,15 @@ TraceIndex::analyse(EpochFlags &flags)
                         continue;
                     std::uint32_t wm = geom.wordMask(r.addr, r.size);
                     if (r.op == TraceOp::Store) {
-                        own[line] |= wm;
+                        bool fresh = false;
+                        std::uint32_t at = own.index(line, &fresh);
+                        if (fresh)
+                            ownMask.push_back(0);
+                        ownMask[at] |= wm;
                     } else {
-                        auto it = own.find(line);
-                        if (it != own.end() &&
-                            (wm & ~it->second) == 0)
+                        std::uint32_t at = own.index(line);
+                        if (at != LineSet::kAbsent &&
+                            (wm & ~ownMask[at]) == 0)
                             f[i] |= 2; // covered load
                     }
                 }
@@ -205,7 +219,6 @@ TraceIndex::pack(const EpochFlags &flags)
               "%zu",
               flags.size(), epochs.size());
 
-    const LineGeom geom(lineBytes_);
     views_.resize(epochs.size());
     viewIdx_.reserve(epochs.size());
 
@@ -226,7 +239,6 @@ TraceIndex::pack(const EpochFlags &flags)
         v.head.resize(n);
         v.pc.resize(n);
         v.addr32.resize(n);
-        std::vector<Addr> fp;
         bool esc = false;
         std::uint64_t spec = 0; // machine's specInsts before record i
 
@@ -273,15 +285,9 @@ TraceIndex::pack(const EpochFlags &flags)
             } else if (r.op == TraceOp::EscapeEnd) {
                 esc = false; // brackets charge no speculative insts
             } else if (!esc) {
-                if (isMemOp(r.op))
-                    fp.push_back(geom.lineNum(r.addr));
                 spec += recordInsts(r);
             }
         }
-
-        std::sort(fp.begin(), fp.end());
-        fp.erase(std::unique(fp.begin(), fp.end()), fp.end());
-        v.footprint = std::move(fp);
         viewIdx_.emplace(&e, checkedNarrow<std::uint32_t>(ei));
     }
 }

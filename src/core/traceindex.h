@@ -83,9 +83,6 @@ struct EpochView
     std::vector<std::uint64_t> wide; ///< out-of-range address table
     std::uint64_t addrBase = 0;      ///< subtracted from memory addrs
 
-    /** Speculatively-accessible lines this epoch touches, sorted. */
-    std::vector<Addr> footprint;
-
     /**
      * Risk offsets: the speculative-instruction counts at which this
      * epoch issues an exposed load of a conflict-candidate line —

@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <unordered_map>
+#include <vector>
 
 #include "base/log.h"
 #include "base/narrow.h"
@@ -18,34 +19,6 @@ namespace sim {
 
 namespace {
 
-template <typename T>
-void
-put(std::ostream &os, const T &v)
-{
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-T
-get(std::istream &is)
-{
-    T v{};
-    is.read(reinterpret_cast<char *>(&v), sizeof(T));
-    if (!is)
-        panic("trace file truncated");
-    return v;
-}
-
-/** Bulk read (one stream call per column block); panics like get<>. */
-void
-getBytes(std::istream &is, void *dst, std::size_t bytes)
-{
-    is.read(static_cast<char *>(dst),
-            static_cast<std::streamsize>(bytes));
-    if (bytes != 0 && !is)
-        panic("trace file truncated");
-}
-
 // ----- v4 columnar epoch encoding ------------------------------------
 //
 // Per epoch the record fields are stored as separate streams (all ops,
@@ -54,24 +27,205 @@ getBytes(std::istream &is, void *dst, std::size_t bytes)
 // transaction are near-sequential, so most deltas fit in 1-2 bytes;
 // the column shrinks from 8 bytes to ~1.3 per record.
 //
-// The decode side works in blocks of varint::kBlock records: each
-// fixed-width column is pulled with one stream read per block and
-// scattered from a small SoA scratch buffer, and the varint address
-// column goes through varint::decodeBlock over a read-ahead buffer
-// (the branchless batch decoder). The stream is repositioned after
-// the column so read-ahead never leaks into the next field.
+// Both directions work on memory, not on the stream. The encoder
+// appends each epoch's columns to one reused byte buffer and hands the
+// buffer to the stream once it passes kFlushBytes (so at most one
+// write per epoch). The decoder reads every field through one
+// fixed-size window over the stream: fixed-width columns are copied
+// straight out of it and the address column goes through
+// varint::decodeBlock (the branchless batch decoder), refilling the
+// window whenever a field runs past its end.
 
+using Bytes = std::vector<std::uint8_t>;
+
+/** Bytes the encoder gathers before handing them to the stream. */
+constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+
+template <typename T>
 void
-putVarint(std::ostream &os, std::uint64_t v)
+put(Bytes &out, const T &v)
 {
-    while (v >= 0x80) {
-        put<std::uint8_t>(os, truncateNarrow<std::uint8_t>(v | 0x80));
-        v >>= 7;
-    }
-    put<std::uint8_t>(os, checkedNarrow<std::uint8_t>(v));
+    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
+    out.insert(out.end(), p, p + sizeof(T));
 }
 
-/** Report a malformed varint (shared by both decode paths). */
+/** Append `n` bytes to `out`; returns where they start. */
+std::uint8_t *
+grow(Bytes &out, std::size_t n)
+{
+    out.resize(out.size() + n);
+    return out.data() + out.size() - n;
+}
+
+/** Append one fixed-width column: `field` of every record. */
+template <typename Field>
+void
+putColumn(Bytes &out, const EpochTrace &e, Field TraceRecord::*field)
+{
+    std::uint8_t *p = grow(out, e.records.size() * sizeof(Field));
+    for (const TraceRecord &r : e.records) {
+        std::memcpy(p, &(r.*field), sizeof(Field));
+        p += sizeof(Field);
+    }
+}
+
+void
+putEpoch(Bytes &out, const EpochTrace &e)
+{
+    put<std::uint64_t>(out, e.records.size());
+    putColumn(out, e, &TraceRecord::op);
+    putColumn(out, e, &TraceRecord::size);
+    putColumn(out, e, &TraceRecord::aux);
+    putColumn(out, e, &TraceRecord::pc);
+    std::uint8_t *p = grow(out, e.records.size() * varint::kMaxBytes);
+    Addr prev = 0;
+    for (const TraceRecord &r : e.records) {
+        // The delta wraps modulo 2^64 by design: the decoder's
+        // matching unsigned addition reconstructs the exact address.
+        std::uint64_t delta = r.addr - prev;
+        p += varint::encode(
+            p, varint::zigzag(static_cast<std::int64_t>(delta)));
+        prev = r.addr;
+    }
+    out.resize(static_cast<std::size_t>(p - out.data()));
+    put<std::uint64_t>(out, e.instCount);
+    put<std::uint64_t>(out, e.specInstCount);
+    put<std::uint64_t>(out, e.escapeSpans.size());
+    for (auto [b, en] : e.escapeSpans) {
+        put<std::uint32_t>(out, b);
+        put<std::uint32_t>(out, en);
+    }
+}
+
+void
+flush(std::ostream &os, Bytes &out)
+{
+    os.write(reinterpret_cast<const char *>(out.data()),
+             static_cast<std::streamsize>(out.size()));
+    out.clear();
+}
+
+/**
+ * The decoder's view of the stream: a fixed-size buffer refilled with
+ * one bulk read whenever a field needs more bytes than it holds (the
+ * unread bytes move to the front first). It reads ahead of the trace;
+ * giveBack() returns the unread look-ahead once, at the end.
+ */
+class Window
+{
+  public:
+    static constexpr std::size_t kBytes = std::size_t{64} << 10;
+
+    explicit Window(std::istream &is) : is_(is), buf_(kBytes) {}
+
+    const std::uint8_t *data() const { return buf_.data() + pos_; }
+    std::size_t avail() const { return len_ - pos_; }
+    void skip(std::size_t n) { pos_ += n; }
+
+    /** Make `n` (<= kBytes) bytes available; false at end of stream. */
+    bool
+    fill(std::size_t n)
+    {
+        while (avail() < n) {
+            std::memmove(buf_.data(), data(), avail());
+            len_ = avail();
+            pos_ = 0;
+            is_.read(reinterpret_cast<char *>(buf_.data()) + len_,
+                     static_cast<std::streamsize>(kBytes - len_));
+            auto got = static_cast<std::size_t>(is_.gcount());
+            if (got == 0)
+                return false;
+            len_ += got;
+        }
+        return true;
+    }
+
+    /** fill() that panics on truncation, like every trace read. */
+    void
+    need(std::size_t n)
+    {
+        if (!fill(n))
+            panic("trace file truncated");
+    }
+
+    template <typename T>
+    T
+    get()
+    {
+        need(sizeof(T));
+        T v;
+        std::memcpy(&v, data(), sizeof(T));
+        pos_ += sizeof(T);
+        return v;
+    }
+
+    /**
+     * Seek a seekable stream back to the end of the trace. A stream
+     * that cannot seek keeps the look-ahead consumed.
+     */
+    void
+    giveBack()
+    {
+        is_.clear();
+        if (avail() == 0)
+            return;
+        is_.seekg(-static_cast<std::streamoff>(avail()), std::ios::cur);
+        is_.clear();
+    }
+
+  private:
+    std::istream &is_;
+    std::vector<std::uint8_t> buf_;
+    std::size_t pos_ = 0, len_ = 0;
+};
+
+/**
+ * Copy the next `n` values of one fixed-width column into `field`,
+ * checking each record with `valid` as it lands; false at the first
+ * record `valid` rejects.
+ */
+template <typename Field, typename Valid>
+bool
+column(Window &win, std::size_t n, TraceRecord *recs,
+       Field TraceRecord::*field, Valid valid)
+{
+    constexpr std::size_t w = sizeof(Field);
+    for (std::size_t i = 0; i < n;) {
+        win.need(w);
+        std::size_t k = std::min(n - i, win.avail() / w);
+        const std::uint8_t *src = win.data();
+        for (std::size_t j = 0; j < k; ++j) {
+            std::memcpy(&(recs[i + j].*field), src + j * w, w);
+            if (!valid(recs[i + j]))
+                return false;
+        }
+        win.skip(k * w);
+        i += k;
+    }
+    return true;
+}
+
+// Record checks for column(): lambdas, so that each inlines into its
+// copy loop.
+const auto validOp = [](const TraceRecord &r) {
+    auto op = static_cast<unsigned>(r.op);
+    if (op <= static_cast<unsigned>(TraceOp::EscapeEnd))
+        return true;
+    inform("trace file rejected: bad opcode %u", op);
+    return false;
+};
+
+const auto validSize = [](const TraceRecord &r) {
+    if ((r.op != TraceOp::Load && r.op != TraceOp::Store) ||
+        (r.size != 0 && r.size <= 128))
+        return true;
+    inform("trace file rejected: access size %u", r.size);
+    return false;
+};
+
+const auto anyValue = [](const TraceRecord &) { return true; };
+
+/** Report a malformed varint. */
 bool
 rejectVarint(varint::Status st)
 {
@@ -83,55 +237,14 @@ rejectVarint(varint::Status st)
 }
 
 /**
- * Decode one varint into `*out`; false (after inform) if the encoding
- * is malformed. The last (10th) byte may only contribute the single
- * remaining bit 63 — a naive decoder would shift the full 7-bit
- * payload and silently discard the six bits past the top of the word.
- */
-bool
-getVarint(std::istream &is, std::uint64_t *out)
-{
-    std::array<std::uint8_t, varint::kMaxBytes> buf;
-    std::size_t have = 0;
-    for (;;) {
-        std::size_t used = 0;
-        varint::Status st =
-            varint::decodeOne(buf.data(), have, out, &used);
-        if (st == varint::Status::Ok)
-            return true;
-        if (st != varint::Status::NeedMore)
-            return rejectVarint(st);
-        buf[have++] = get<std::uint8_t>(is);
-    }
-}
-
-/**
  * Decode the epoch's address column: `n` zigzag varint deltas,
- * accumulated into `recs[i].addr`. Batch-decodes in blocks of
- * varint::kBlock over a read-ahead buffer when the stream is seekable
- * (unused read-ahead is seeked back); falls back to the one-record
- * stream decoder otherwise. False (after inform) on malformed input;
- * panics on truncation like every other trace read.
+ * accumulated into `recs[i].addr`, in blocks of varint::kBlock. False
+ * (after inform) on malformed input; panics on truncation.
  */
 bool
-getAddrColumn(std::istream &is, std::size_t n, TraceRecord *recs)
+getAddrColumn(Window &win, std::size_t n, TraceRecord *recs)
 {
     Addr prev = 0;
-    if (n == 0)
-        return true;
-    if (is.tellg() == std::istream::pos_type(-1)) {
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t z = 0;
-            if (!getVarint(is, &z))
-                return false;
-            prev += static_cast<std::uint64_t>(varint::unzigzag(z));
-            recs[i].addr = prev;
-        }
-        return true;
-    }
-
-    std::vector<std::uint8_t> buf(std::size_t{64} << 10);
-    std::size_t len = 0, pos = 0;
     std::array<std::uint64_t, varint::kBlock> z;
     std::size_t done = 0;
     while (done < n) {
@@ -139,9 +252,8 @@ getAddrColumn(std::istream &is, std::size_t n, TraceRecord *recs)
             std::min<std::size_t>(varint::kBlock, n - done);
         std::size_t decoded = 0, used = 0;
         varint::Status st = varint::decodeBlock(
-            buf.data() + pos, len - pos, want, z.data(), &decoded,
-            &used);
-        pos += used;
+            win.data(), win.avail(), want, z.data(), &decoded, &used);
+        win.skip(used);
         for (std::size_t i = 0; i < decoded; ++i) {
             prev += static_cast<std::uint64_t>(varint::unzigzag(z[i]));
             recs[done + i].addr = prev;
@@ -151,64 +263,18 @@ getAddrColumn(std::istream &is, std::size_t n, TraceRecord *recs)
             continue;
         if (st != varint::Status::NeedMore)
             return rejectVarint(st);
-        // Refill: keep the partial varint's bytes at the front.
-        std::memmove(buf.data(), buf.data() + pos, len - pos);
-        len -= pos;
-        pos = 0;
-        is.read(reinterpret_cast<char *>(buf.data()) + len,
-                static_cast<std::streamsize>(buf.size() - len));
-        std::size_t got = static_cast<std::size_t>(is.gcount());
-        if (got == 0)
-            panic("trace file truncated");
-        len += got;
+        // The window ends inside a varint: pull in the rest.
+        win.need(win.avail() + 1);
     }
-    // Return the unconsumed read-ahead so the stream sits exactly at
-    // the end of the column (clear a possible eofbit first; seekg on
-    // a failed stream would be a no-op).
-    is.clear();
-    is.seekg(-static_cast<std::streamoff>(len - pos), std::ios::cur);
-    if (!is)
-        panic("trace file: cannot rewind read-ahead");
     return true;
-}
-
-void
-putEpoch(std::ostream &os, const EpochTrace &e)
-{
-    const std::size_t n = e.records.size();
-    put<std::uint64_t>(os, n);
-    for (const TraceRecord &r : e.records)
-        put<std::uint8_t>(os, checkedNarrow<std::uint8_t>(
-                                  static_cast<unsigned>(r.op)));
-    for (const TraceRecord &r : e.records)
-        put<std::uint8_t>(os, r.size);
-    for (const TraceRecord &r : e.records)
-        put<std::uint16_t>(os, r.aux);
-    for (const TraceRecord &r : e.records)
-        put<std::uint32_t>(os, r.pc);
-    Addr prev = 0;
-    for (const TraceRecord &r : e.records) {
-        // The delta wraps modulo 2^64 by design: the decoder's
-        // matching unsigned addition reconstructs the exact address.
-        std::uint64_t delta = r.addr - prev;
-        putVarint(os, varint::zigzag(static_cast<std::int64_t>(delta)));
-        prev = r.addr;
-    }
-    put<std::uint64_t>(os, e.instCount);
-    put<std::uint64_t>(os, e.specInstCount);
-    put<std::uint64_t>(os, e.escapeSpans.size());
-    for (auto [b, en] : e.escapeSpans) {
-        put<std::uint32_t>(os, b);
-        put<std::uint32_t>(os, en);
-    }
 }
 
 /** Read one epoch; false (after inform) if structurally malformed. */
 bool
-getEpoch(std::istream &is, EpochTrace *out)
+getEpoch(Window &win, EpochTrace *out)
 {
     EpochTrace e;
-    auto n = get<std::uint64_t>(is);
+    auto n = win.get<std::uint64_t>();
     if (n > (std::uint64_t{1} << 32)) {
         inform("trace file rejected: %llu records in one epoch",
                static_cast<unsigned long long>(n));
@@ -216,53 +282,16 @@ getEpoch(std::istream &is, EpochTrace *out)
     }
     e.records.resize(n);
     TraceRecord *recs = e.records.data();
-    constexpr std::size_t B = varint::kBlock;
-    const std::uint8_t max_op = checkedNarrow<std::uint8_t>(
-        static_cast<unsigned>(TraceOp::EscapeEnd));
-    std::array<std::uint8_t, B> col8;
-    for (std::size_t base = 0; base < n; base += B) {
-        std::size_t blk = std::min<std::size_t>(B, n - base);
-        getBytes(is, col8.data(), blk);
-        for (std::size_t i = 0; i < blk; ++i) {
-            if (col8[i] > max_op) {
-                inform("trace file rejected: bad opcode %u", col8[i]);
-                return false;
-            }
-            recs[base + i].op = static_cast<TraceOp>(col8[i]);
-        }
-    }
-    for (std::size_t base = 0; base < n; base += B) {
-        std::size_t blk = std::min<std::size_t>(B, n - base);
-        getBytes(is, col8.data(), blk);
-        for (std::size_t i = 0; i < blk; ++i) {
-            TraceRecord &r = recs[base + i];
-            r.size = col8[i];
-            if ((r.op == TraceOp::Load || r.op == TraceOp::Store) &&
-                (r.size == 0 || r.size > 128)) {
-                inform("trace file rejected: access size %u", r.size);
-                return false;
-            }
-        }
-    }
-    std::array<std::uint16_t, B> col16;
-    for (std::size_t base = 0; base < n; base += B) {
-        std::size_t blk = std::min<std::size_t>(B, n - base);
-        getBytes(is, col16.data(), blk * 2);
-        for (std::size_t i = 0; i < blk; ++i)
-            recs[base + i].aux = col16[i];
-    }
-    std::array<std::uint32_t, B> col32;
-    for (std::size_t base = 0; base < n; base += B) {
-        std::size_t blk = std::min<std::size_t>(B, n - base);
-        getBytes(is, col32.data(), blk * 4);
-        for (std::size_t i = 0; i < blk; ++i)
-            recs[base + i].pc = col32[i];
-    }
-    if (!getAddrColumn(is, n, recs))
+    if (!column(win, n, recs, &TraceRecord::op, validOp) ||
+        !column(win, n, recs, &TraceRecord::size, validSize))
         return false;
-    e.instCount = get<std::uint64_t>(is);
-    e.specInstCount = get<std::uint64_t>(is);
-    auto spans = get<std::uint64_t>(is);
+    column(win, n, recs, &TraceRecord::aux, anyValue);
+    column(win, n, recs, &TraceRecord::pc, anyValue);
+    if (!getAddrColumn(win, n, recs))
+        return false;
+    e.instCount = win.get<std::uint64_t>();
+    e.specInstCount = win.get<std::uint64_t>();
+    auto spans = win.get<std::uint64_t>();
     if (spans > n) {
         inform("trace file rejected: %llu escape spans for %llu records",
                static_cast<unsigned long long>(spans),
@@ -271,8 +300,8 @@ getEpoch(std::istream &is, EpochTrace *out)
     }
     std::uint64_t prev_end = 0;
     for (std::uint64_t i = 0; i < spans; ++i) {
-        auto b = get<std::uint32_t>(is);
-        auto en = get<std::uint32_t>(is);
+        auto b = win.get<std::uint32_t>();
+        auto en = win.get<std::uint32_t>();
         if (b > en || en >= n || (i > 0 && b <= prev_end)) {
             inform("trace file rejected: escape span [%u,%u] unordered "
                    "or out of bounds (%llu records)",
@@ -298,58 +327,65 @@ getEpoch(std::istream &is, EpochTrace *out)
 void
 saveTrace(std::ostream &os, const WorkloadTrace &w)
 {
-    put<std::uint32_t>(os, kTraceMagic);
-    put<std::uint32_t>(os, kTraceVersion);
+    Bytes out;
+    put<std::uint32_t>(out, kTraceMagic);
+    put<std::uint32_t>(out, kTraceVersion);
 
     // Site-name table: the writer's full registry, in PC order.
     const auto &names = SiteRegistry::instance().allNames();
-    put<std::uint64_t>(os, names.size());
+    put<std::uint64_t>(out, names.size());
     for (const std::string &n : names) {
-        put<std::uint32_t>(os, checkedNarrow<std::uint32_t>(n.size()));
-        os.write(n.data(), static_cast<std::streamsize>(n.size()));
+        put<std::uint32_t>(out, checkedNarrow<std::uint32_t>(n.size()));
+        out.insert(out.end(), n.begin(), n.end());
     }
 
-    put<std::uint64_t>(os, w.txns.size());
+    put<std::uint64_t>(out, w.txns.size());
     for (const TransactionTrace &txn : w.txns) {
-        put<std::uint64_t>(os, txn.sections.size());
+        put<std::uint64_t>(out, txn.sections.size());
         for (const TraceSection &sec : txn.sections) {
-            put<std::uint8_t>(os, sec.parallel ? 1 : 0);
-            put<std::uint64_t>(os, sec.epochs.size());
-            for (const EpochTrace &e : sec.epochs)
-                putEpoch(os, e);
+            put<std::uint8_t>(out, sec.parallel ? 1 : 0);
+            put<std::uint64_t>(out, sec.epochs.size());
+            for (const EpochTrace &e : sec.epochs) {
+                putEpoch(out, e);
+                if (out.size() >= kFlushBytes)
+                    flush(os, out);
+            }
         }
     }
+    flush(os, out);
 }
 
 bool
 loadTrace(std::istream &is, WorkloadTrace *out)
 {
-    std::uint32_t magic = 0, version = 0;
-    is.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    is.read(reinterpret_cast<char *>(&version), sizeof(version));
-    if (!is || magic != kTraceMagic || version != kTraceVersion)
+    Window win(is);
+    if (!win.fill(8))
+        return false;
+    auto magic = win.get<std::uint32_t>();
+    auto version = win.get<std::uint32_t>();
+    if (magic != kTraceMagic || version != kTraceVersion)
         return false;
 
     // Rebuild the writer's site table and map its PCs into this
     // process's registry (indices may differ).
     auto &reg = SiteRegistry::instance();
     std::unordered_map<Pc, Pc> remap;
-    auto site_count = get<std::uint64_t>(is);
+    auto site_count = win.get<std::uint64_t>();
     if (site_count > 1'000'000) {
         inform("trace file rejected: %llu sites",
                static_cast<unsigned long long>(site_count));
         return false;
     }
     for (std::uint64_t i = 0; i < site_count; ++i) {
-        auto len = get<std::uint32_t>(is);
+        auto len = win.get<std::uint32_t>();
         if (len > 4096) {
             inform("trace file rejected: site name of %u bytes", len);
             return false;
         }
-        std::string name(len, '\0');
-        is.read(name.data(), len);
-        if (!is)
+        if (!win.fill(len))
             panic("trace file truncated in site table");
+        std::string name(reinterpret_cast<const char *>(win.data()), len);
+        win.skip(len);
         Pc writer_pc = SiteRegistry::pcOfIndex(i);
         Pc local_pc = reg.intern(name);
         if (writer_pc != local_pc)
@@ -357,17 +393,17 @@ loadTrace(std::istream &is, WorkloadTrace *out)
     }
 
     WorkloadTrace w;
-    auto txns = get<std::uint64_t>(is);
+    auto txns = win.get<std::uint64_t>();
     for (std::uint64_t t = 0; t < txns; ++t) {
         TransactionTrace txn;
-        auto secs = get<std::uint64_t>(is);
+        auto secs = win.get<std::uint64_t>();
         for (std::uint64_t s = 0; s < secs; ++s) {
             TraceSection sec;
-            sec.parallel = get<std::uint8_t>(is) != 0;
-            auto epochs = get<std::uint64_t>(is);
+            sec.parallel = win.get<std::uint8_t>() != 0;
+            auto epochs = win.get<std::uint64_t>();
             for (std::uint64_t e = 0; e < epochs; ++e) {
                 EpochTrace et;
-                if (!getEpoch(is, &et))
+                if (!getEpoch(win, &et))
                     return false;
                 if (!remap.empty()) {
                     for (TraceRecord &r : et.records) {
@@ -382,6 +418,7 @@ loadTrace(std::istream &is, WorkloadTrace *out)
         }
         w.txns.push_back(std::move(txn));
     }
+    win.giveBack();
     *out = std::move(w);
     return true;
 }

@@ -45,6 +45,10 @@ void saveTraceFile(const std::string &path, const WorkloadTrace &w);
  * accesses, or escape spans that are unordered, overlapping, out of
  * bounds, or not anchored on EscapeBegin/EscapeEnd records — after
  * describing the defect via inform(). Panics only on truncation.
+ *
+ * Reads through a fixed-size window, so it reads ahead of the trace:
+ * on success a seekable stream is moved back to the trace's end, and
+ * a stream that cannot seek is left past it.
  */
 bool loadTrace(std::istream &is, WorkloadTrace *out);
 bool loadTraceFile(const std::string &path, WorkloadTrace *out);

@@ -6,8 +6,8 @@
  * (sim/traceio.cc); replaying a cached trace decodes hundreds of
  * millions of these, so the decoder matters. Two decoders live here:
  *
- *  - decodeOne: the byte-at-a-time reference decoder, shared by the
- *    non-seekable-stream fallback and the differential tests.
+ *  - decodeOne: the byte-at-a-time reference decoder, used by the
+ *    differential tests and by decodeBlock for long varints.
  *  - decodeBlock: the batch decoder. For each value it loads eight
  *    bytes at once and extracts the continuation mask branchlessly
  *    (ctz on the inverted MSB lattice gives the varint length; a SWAR

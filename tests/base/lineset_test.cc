@@ -108,5 +108,26 @@ TEST(LineSetGeneration, GrowAcrossWrappedGenerationRehashes)
     EXPECT_FALSE(s.contains(500));
 }
 
+TEST(LineSetIndex, PositionsFollowInsertionOrderAcrossGrowth)
+{
+    LineSet s;
+    bool fresh = false;
+    // Enough lines to force several rehashes of the probe table.
+    for (Addr i = 0; i < 1000; ++i) {
+        EXPECT_EQ(s.index(7919 * i, &fresh), i);
+        EXPECT_TRUE(fresh);
+    }
+    for (Addr i = 0; i < 1000; ++i) {
+        EXPECT_EQ(s.index(7919 * i, &fresh), i);
+        EXPECT_FALSE(fresh);
+        EXPECT_EQ(s.index(7919 * i), i);
+    }
+    EXPECT_EQ(s.index(1), LineSet::kAbsent);
+    s.clear();
+    EXPECT_EQ(s.index(0), LineSet::kAbsent);
+    EXPECT_EQ(s.index(7919 * 5, &fresh), 0u);
+    EXPECT_TRUE(fresh);
+}
+
 } // namespace
 } // namespace tlsim

@@ -182,27 +182,6 @@ TEST(TraceIndex, PackedViewRoundTripsEveryRecord)
     }
 }
 
-TEST(TraceIndex, FootprintListsNonEscapedMemoryLines)
-{
-    IndexBuilder b;
-    auto e0 = [&b](Tracer &t) {
-        t.store(b.pc(), b.addr(word(9)), 8);
-        t.load(b.pc(), b.addr(word(4)), 8);
-        t.escapeBegin(b.pc());
-        t.store(b.pc(), b.addr(word(200)), 8); // escaped: excluded
-        t.escapeEnd(b.pc());
-        t.load(b.pc(), b.addr(word(4) + 1), 8); // same line as word(4)
-    };
-    auto w = b.loopTxn({e0, e0});
-
-    TraceIndex idx(w, kLineBytes);
-    const EpochTrace &e = w.txns.at(0).sections.at(1).epochs.at(0);
-    const EpochView *v = idx.viewOf(&e);
-    std::vector<Addr> expect = {b.lineOf(word(4)), b.lineOf(word(9))};
-    std::sort(expect.begin(), expect.end());
-    EXPECT_EQ(v->footprint, expect);
-}
-
 TEST(TraceIndex, BuildCounterCountsOnlyFullAnalyses)
 {
     IndexBuilder b;
@@ -230,11 +209,14 @@ TEST(TraceIndex, SaveLoadRoundTripsAnalysis)
         t.load(b.pc(), b.addr(word(100)), 8); // covered after stores
     };
     auto e1 = [&b](Tracer &t) {
-        t.load(b.pc(), b.addr(word(100)), 8); // conflict line
+        t.compute(b.pc(), 10);
+        t.load(b.pc(), b.addr(word(100)), 8); // exposed, conflict line
     };
     auto w = b.loopTxn({e0, e1});
 
     TraceIndex idx(w, kLineBytes);
+    const EpochTrace &second = w.txns.at(0).sections.at(1).epochs.at(1);
+    ASSERT_FALSE(idx.viewOf(&second)->riskOffsets.empty());
     std::stringstream ss;
     idx.save(ss);
     auto loaded = TraceIndex::load(ss, w, kLineBytes);
@@ -256,7 +238,7 @@ TEST(TraceIndex, SaveLoadRoundTripsAnalysis)
                 EXPECT_EQ(a->addr32, l->addr32);
                 EXPECT_EQ(a->wide, l->wide);
                 EXPECT_EQ(a->addrBase, l->addrBase);
-                EXPECT_EQ(a->footprint, l->footprint);
+                EXPECT_EQ(a->riskOffsets, l->riskOffsets);
             }
         }
     }

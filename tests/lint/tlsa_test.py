@@ -40,6 +40,12 @@ EXPECTATIONS = {
     # wait-for cycle, reported once per closing edge.
     "a1_cycle": ([("src/core/cycle.cc", "A1", 8),
                   ("src/core/cycle.cc", "A1", 16)], 1, 0),
+    # Calls on receivers not declared as a project class (a
+    # template-typed parameter, a local of a foreign type, an `auto`
+    # local) bind to no method, whatever a unique method name or a
+    # one-letter spelling hints; a parameter declared as a project
+    # class still binds.
+    "a1_unknown_receiver": ([("src/sim/cache.cc", "A1", 23)], 1, 0),
     # Seeded unaudited mutator: speculative state written from a file
     # the AuditSink seam does not cover.
     "a2_unaudited": ([("src/sim/rogue.cc", "A2", 7)], 1, 0),

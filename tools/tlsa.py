@@ -127,8 +127,8 @@ NODE_MUTATORS = {"insert", "emplace", "emplace_hint", "try_emplace",
                  "erase"}
 GROWTH_CALLS = {"push_back", "emplace_back"}
 
-# Method names too generic to resolve by "only one class defines
-# it" — without a receiver hint these produce no call edge.
+# Names too generic to resolve a receiver-less call by "only one
+# function defines it": such a call produces no edge.
 GENERIC_METHODS = {
     "size", "empty", "clear", "begin", "end", "insert", "erase",
     "reset", "count", "find", "at", "front", "back", "push_back",
@@ -699,6 +699,7 @@ class Program:
             self.member_decls.update(fm.member_decls)
             self.bases.update(fm.bases)
         self.classes = set()
+        self._decls = {}  # id(FuncDef) -> {param/local name: type}
         for fn in self.funcs:
             self.by_qual.setdefault(fn.qual, fn)
             self.by_name.setdefault(fn.name, []).append(fn)
@@ -743,6 +744,77 @@ class Program:
                     out[name] = (mtype, where[0], where[1])
         return out
 
+    def declared_type(self, fn, name):
+        """Declared type of `name` as a parameter or local variable of
+        `fn`: a class name (a template's head for `std::vector<T> v`),
+        "auto", or "" when the spelling names no type. None when `fn`
+        declares no such name, or declares it with different types."""
+        decls = self._decls.get(id(fn))
+        if decls is None:
+            decls = self._decls[id(fn)] = self._parse_decls(fn)
+        return decls.get(name)
+
+    def _parse_decls(self, fn):
+        code = self.files[fn.relpath].code
+        decls = {}
+
+        def record(name, ptype):
+            if decls.get(name, ptype) != ptype:
+                ptype = None  # redeclared with another type
+            decls[name] = ptype
+
+        def type_before(toks, p):
+            """Type spelled right before toks[p + 1], or None."""
+            while p >= 0 and toks[p].text in ("*", "&", "&&", "const"):
+                p -= 1
+            if p >= 0 and toks[p].text in (">", ">>"):
+                q = _match_back(toks, p, "<", ">")
+                if q >= 1 and toks[q - 1].kind == "id":
+                    return toks[q - 1].text
+                return None
+            if p >= 0 and toks[p].kind == "id" and (
+                    toks[p].text not in KEYWORDS or
+                    toks[p].text == "auto" or
+                    toks[p].text in BUILTIN_TYPES):
+                return toks[p].text
+            return None
+
+        # Parameters: the last identifier of each top-level segment.
+        if fn.sig is not None:
+            open_i, close_i = fn.sig
+            seg, depth = [], 0
+            for k in range(open_i + 1, close_i + 1):
+                t = code[k].text
+                if t in ("(", "[", "{", "<"):
+                    depth += 1
+                elif t in (")", "]", "}", ">"):
+                    depth -= 1
+                elif t == ">>":
+                    depth -= 2
+                if k < close_i and not (t == "," and depth == 0):
+                    seg.append(code[k])
+                    continue
+                texts = [c.text for c in seg]
+                if "=" in texts:  # default argument
+                    seg = seg[:texts.index("=")]
+                ids = [i for i, c in enumerate(seg)
+                       if c.kind == "id" and c.text not in KEYWORDS]
+                if ids and ids[-1] > 0:
+                    ptype = type_before(seg, ids[-1] - 1)
+                    record(seg[ids[-1]].text, ptype or "")
+                seg = []
+        # Locals: `Type name` followed by = ; { ( or a range-for colon.
+        start, end = fn.body
+        for k in range(start + 1, end or start):
+            tok = code[k]
+            if tok.kind != "id" or tok.text in KEYWORDS or \
+                    code[k + 1].text not in ("=", ";", "{", "(", ":"):
+                continue
+            ltype = type_before(code, k - 1)
+            if ltype is not None:
+                record(tok.text, ltype)
+        return decls
+
     def resolve(self, call, caller=None):
         """CallSite -> FuncDef or None. Edges only when attribution
         is unambiguous; see DESIGN.md §4.8 for what this misses."""
@@ -758,11 +830,20 @@ class Program:
             return cands[0] if len(cands) == 1 else None
         cands = self.by_name.get(call.name, [])
         if call.recv:
-            # A declared member type beats any name hint: `Foo f_;`
-            # in the caller's class makes `f_.bar()` resolve to
-            # Foo::bar — or to nothing if Foo defines no bar, rather
-            # than falling through to a substring guess the
-            # declaration just contradicted.
+            # A declared type beats any name hint. A parameter or local
+            # of the caller (`Foo &f`, `Foo f = ...`) comes first, as in
+            # C++ scoping; a type that is not a project class (a
+            # template parameter, a std:: type) reaches no project
+            # method, whatever the spelling hints.
+            dt = (self.declared_type(caller, call.recv)
+                  if caller is not None else None)
+            if dt is not None and dt != "auto":
+                return (self.by_qual.get(f"{dt}::{call.name}")
+                        if dt in self.classes else None)
+            # Then a member of the caller's class: `Foo f_;` makes
+            # `f_.bar()` resolve to Foo::bar — or to nothing if Foo
+            # defines no bar, rather than falling through to a
+            # substring guess the declaration just contradicted.
             if caller is not None and caller.cls:
                 mt = self.member_type(caller.cls, call.recv)
                 if mt is not None and mt in self.classes:
@@ -772,13 +853,10 @@ class Program:
             hinted = [f for f in methods
                       if recv_l and (recv_l in f.cls.lower() or
                                      f.cls.lower() in recv_l)]
-            if len(hinted) == 1:
-                return hinted[0]
-            if call.name in GENERIC_METHODS:
-                return None
-            if len(methods) == 1:
-                return methods[0]
-            return None
+            # A receiver of unknown type binds only through a name
+            # hint: that a single class defines the method says
+            # nothing about what this receiver is.
+            return hinted[0] if len(hinted) == 1 else None
         # Unqualified call inside a method: the caller's own class
         # wins, as in C++ name lookup.
         if caller is not None and caller.cls:
