@@ -81,7 +81,8 @@ main(int argc, char **argv)
         bench::configFor(tpcc::TxnType::NewOrder, args);
     std::fprintf(stderr, "capturing NEW ORDER...\n");
     sim::SharedTraces traces =
-        bench::capture(tpcc::TxnType::NewOrder, cfg, args);
+        sim::captureTracesShared(tpcc::TxnType::NewOrder, cfg,
+                                 args.traceCache);
 
     // The Section 1 narrative also needs a naively-parallelized
     // capture of the *untuned* database (never cached: it is specific
@@ -177,9 +178,10 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < kPlaceBench; ++i) {
         place_traces[i] =
             i == 0 ? traces
-                   : bench::capture(place_txns[i],
-                                    bench::configFor(place_txns[i], args),
-                                    args);
+                   : sim::captureTracesShared(
+                         place_txns[i],
+                         bench::configFor(place_txns[i], args),
+                         args.traceCache);
         MachineConfig fixed_mc = cfg.machine;
         fixed_mc.tls.riskPlacement = false;
         MachineConfig risk_mc = cfg.machine;

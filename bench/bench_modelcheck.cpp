@@ -190,9 +190,11 @@ main(int argc, char **argv)
                          {"divergences",
                           static_cast<double>(bs.failures)}});
 
-    report.setModelcheck(static_cast<double>(states),
-                         static_cast<double>(schedules), reduction,
-                         violations);
+    report.addBlock("modelcheck",
+                    {{"states_explored", static_cast<double>(states)},
+                     {"schedules", static_cast<double>(schedules)},
+                     {"dpor_reduction", reduction},
+                     {"violations", static_cast<double>(violations)}});
     if (report.probe().enabled()) {
         // Timing fields (seconds, states/s) are excluded: the probe
         // digests only the schedule-exploration counts, which must be

@@ -2,10 +2,9 @@
  * @file
  * Shared plumbing for the paper-reproduction bench binaries:
  *
- *  - strict argument parsing (--quick, --txns=N, --jobs=N,
- *    --json=FILE, --trace-cache=DIR); unknown flags are an error so CI
- *    typos fail loudly instead of silently running the default;
- *  - per-benchmark capture sizing;
+ *  - strict argument parsing (sim/cli.h): unknown flags are an error
+ *    so CI typos fail loudly instead of silently running the default;
+ *  - the command line's machine flags over sim::configFor();
  *  - a machine-readable result reporter emitting the "tlsim-bench-v1"
  *    JSON schema (validated by tools/check_bench_json.py).
  */
@@ -15,10 +14,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +25,8 @@
 #include "base/log.h"
 #include "base/simd.h"
 #include "base/stats.h"
+#include "sim/artifact.h"
+#include "sim/cli.h"
 #include "sim/executor.h"
 #include "sim/experiment.h"
 #include "sim/tracecache.h"
@@ -63,170 +62,60 @@ struct BenchArgs
     bool detProbe = false;
 };
 
-[[noreturn]] inline void
-usage(const char *prog, int code)
-{
-    std::FILE *out = code == 0 ? stdout : stderr;
-    std::fprintf(out,
-                 "usage: %s [--quick] [--txns=N] [--jobs=N] "
-                 "[--json=FILE] [--trace-cache=DIR] "
-                 "[--no-trace-index] [--audit=off|commit|full] "
-                 "[--force-scalar] [--prune=none|oracle] "
-                 "[--placement=fixed|risk] [--det-probe]\n"
-                 "  --quick            reduced TPC-C scale (CI)\n"
-                 "  --txns=N           transactions per capture\n"
-                 "  --jobs=N           parallel simulation points "
-                 "(0 = all cores, default 1)\n"
-                 "  --json=FILE        machine-readable results "
-                 "(tlsim-bench-v1 schema)\n"
-                 "  --trace-cache=DIR  reuse on-disk trace snapshots\n"
-                 "  --no-trace-index   disable the conflict-oracle "
-                 "fast path (identical results, slower replay)\n"
-                 "  --audit=LEVEL      protocol invariant auditor "
-                 "(off|commit|full; results must be identical)\n"
-                 "  --force-scalar     use the portable scalar kernels "
-                 "(identical results; golden-label comparison)\n"
-                 "  --prune=MODE       sweep pruning: 'oracle' scores "
-                 "grid points with the critical-path analyzer and "
-                 "simulates only the predicted frontier\n"
-                 "  --placement=POLICY sub-thread start points: 'fixed' "
-                 "spacing or predicted-'risk' records\n"
-                 "  --det-probe        hash the canonical result stream "
-                 "per stage into the 'determinism' JSON block\n",
-                 prog);
-    std::exit(code);
-}
-
-inline unsigned
-parseUnsigned(const std::string &flag, const std::string &val,
-              const char *prog)
-{
-    try {
-        std::size_t pos = 0;
-        unsigned long v = std::stoul(val, &pos);
-        if (pos != val.size() || v > 0xFFFFFFFFul)
-            throw std::invalid_argument(val);
-        return static_cast<unsigned>(v);
-    } catch (const std::exception &) {
-        std::fprintf(stderr, "%s: bad value for %s: '%s'\n", prog,
-                     flag.c_str(), val.c_str());
-        std::exit(2);
-    }
-}
-
 /**
- * Parse the bench command line. Unknown arguments are fatal (exit 2):
- * a misspelled flag must not silently fall back to default behaviour.
+ * Parse the bench command line (sim/cli.h). Unknown arguments are
+ * fatal (exit 2): a misspelled flag must not silently fall back to
+ * default behaviour.
  */
 inline BenchArgs
 parseArgs(int argc, char **argv)
 {
+    using F = cli::Flag;
+    const cli::Args a(
+        argv[0],
+        {{"quick", F::Switch, "reduced TPC-C scale (CI)"},
+         {"txns", F::Number, "transactions per capture"},
+         {"jobs", F::Number,
+          "parallel simulation points (0 = all cores, default 1)"},
+         {"json", F::Text, "machine-readable results (tlsim-bench-v1)"},
+         {"trace-cache", F::Text, "reuse on-disk trace snapshots"},
+         {"no-trace-index", F::Switch,
+          "disable the conflict-oracle fast path (identical results)"},
+         {"audit", F::Text,
+          "protocol invariant auditor: off|commit|full (identical "
+          "results)"},
+         {"force-scalar", F::Switch,
+          "use the portable scalar kernels (identical results)"},
+         {"prune", F::Text,
+          "none|oracle: simulate only the critical-path oracle's "
+          "predicted frontier"},
+         {"placement", F::Text,
+          "fixed|risk: sub-thread start points every spacing or at "
+          "predicted risk records"},
+         {"det-probe", F::Switch,
+          "hash the result stream per stage into the 'determinism' "
+          "JSON block"}},
+        argc, argv, 1);
     BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto value = [&](const char *prefix) {
-            return a.substr(std::strlen(prefix));
-        };
-        if (a == "--quick")
-            args.quick = true;
-        else if (a.rfind("--txns=", 0) == 0)
-            args.txns = parseUnsigned("--txns", value("--txns="),
-                                      argv[0]);
-        else if (a.rfind("--jobs=", 0) == 0)
-            args.jobs = parseUnsigned("--jobs", value("--jobs="),
-                                      argv[0]);
-        else if (a.rfind("--json=", 0) == 0)
-            args.json = value("--json=");
-        else if (a.rfind("--trace-cache=", 0) == 0)
-            args.traceCache = value("--trace-cache=");
-        else if (a == "--no-trace-index")
-            args.noTraceIndex = true;
-        else if (a.rfind("--audit=", 0) == 0)
-            args.audit = value("--audit=");
-        else if (a == "--force-scalar")
-            args.forceScalar = true;
-        else if (a.rfind("--prune=", 0) == 0)
-            args.prune = value("--prune=");
-        else if (a.rfind("--placement=", 0) == 0)
-            args.placement = value("--placement=");
-        else if (a == "--det-probe")
-            args.detProbe = true;
-        else if (a == "--help" || a == "-h")
-            usage(argv[0], 0);
-        else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
-                         a.c_str());
-            usage(argv[0], 2);
-        }
-    }
-    if (args.prune != "none" && args.prune != "oracle") {
-        std::fprintf(stderr, "%s: bad value for --prune: '%s'\n",
-                     argv[0], args.prune.c_str());
-        std::exit(2);
-    }
-    if (args.placement != "fixed" && args.placement != "risk") {
-        std::fprintf(stderr, "%s: bad value for --placement: '%s'\n",
-                     argv[0], args.placement.c_str());
-        std::exit(2);
-    }
+    args.quick = a.has("quick");
+    args.txns = a.u32("txns", 0);
+    args.jobs = a.u32("jobs", 1);
+    args.json = a.str("json");
+    args.traceCache = a.str("trace-cache");
+    args.noTraceIndex = a.has("no-trace-index");
+    args.audit = a.oneOf("audit", {"off", "commit", "full"});
+    args.forceScalar = a.has("force-scalar");
+    args.prune = a.oneOf("prune", {"none", "oracle"});
+    args.placement = a.oneOf("placement", {"fixed", "risk"});
+    args.detProbe = a.has("det-probe");
     return args;
 }
 
-/** Executor sized from --jobs (0 = one worker per hardware thread). */
-inline sim::SimExecutor
-makeExecutor(const BenchArgs &args)
-{
-    return sim::SimExecutor(args.jobs);
-}
-
-/** Capture (or reload from --trace-cache) one benchmark's traces. */
-inline sim::SharedTraces
-capture(tpcc::TxnType type, const sim::ExperimentConfig &cfg,
-        const BenchArgs &args)
-{
-    return sim::captureTracesShared(type, cfg, args.traceCache);
-}
-
-/**
- * Experiment configuration for one benchmark. Large-thread benchmarks
- * (NEW ORDER 150, DELIVERY OUTER) capture fewer transactions since a
- * single transaction already provides hundreds of thousands of
- * instructions of parallel work.
- */
+/** sim::configFor() plus the machine flags of the command line. */
 inline sim::ExperimentConfig
 configFor(tpcc::TxnType type, const BenchArgs &args)
 {
-    sim::ExperimentConfig cfg;
-    if (args.quick) {
-        cfg.scale = tpcc::TpccConfig::tiny();
-        cfg.scale.items = 2000;
-        cfg.scale.customersPerDistrict = 150;
-        cfg.scale.ordersPerDistrict = 150;
-        cfg.scale.firstNewOrder = 76;
-    } else {
-        // Full single-warehouse TPC-C, as in the paper.
-        cfg.scale = tpcc::TpccConfig{};
-    }
-
-    switch (type) {
-      case tpcc::TxnType::NewOrder150:
-        cfg.txns = 6;
-        cfg.warmupTxns = 1;
-        break;
-      case tpcc::TxnType::DeliveryOuter:
-      case tpcc::TxnType::Delivery:
-        cfg.txns = 8;
-        cfg.warmupTxns = 2;
-        break;
-      default:
-        cfg.txns = 12;
-        cfg.warmupTxns = 2;
-        break;
-    }
-    if (args.txns) {
-        cfg.txns = args.txns;
-        cfg.warmupTxns = args.txns > 4 ? 2 : 1;
-    }
+    sim::ExperimentConfig cfg = sim::configFor(type, args.quick, args.txns);
     cfg.machine.tls.useConflictOracle = !args.noTraceIndex;
     cfg.machine.tls.auditLevel = parseAuditLevel(args.audit);
     cfg.machine.tls.riskPlacement = args.placement == "risk";
@@ -293,41 +182,15 @@ class BenchReport
     }
 
     /**
-     * Record the model-checker totals; write() then emits the
-     * "modelcheck" block (validated by tools/check_bench_json.py).
-     * states is the number of explored model states (transitions
-     * executed across all schedules), reduction the naive/DPOR
-     * schedule ratio on the reduction instances.
+     * Add a top-level JSON object `name` of numeric fields, written
+     * after the "audit" block: "modelcheck" (bench_modelcheck) and
+     * "critpath" (bench_figure6_sweep --prune=oracle), whose fields
+     * tools/check_bench_json.py validates.
      */
     void
-    setModelcheck(double states, double schedules, double reduction,
-                  double violations)
+    addBlock(std::string name, Fields fields)
     {
-        mcStates_ = states;
-        mcSchedules_ = schedules;
-        mcReduction_ = reduction;
-        mcViolations_ = violations;
-        hasModelcheck_ = true;
-    }
-
-    /**
-     * Record the critical-path oracle totals; write() then emits the
-     * "critpath" block (validated by tools/check_bench_json.py).
-     * `predicted` is the calibrated predicted makespan summed over
-     * every scored grid point, `band_error` the largest relative
-     * error observed on points that were both predicted and
-     * simulated, and the point counts carry the pruning claim:
-     * at most half the scored points may have been simulated.
-     */
-    void
-    setCritpath(double predicted, double band_error, double total,
-                double simulated)
-    {
-        cpPredicted_ = predicted;
-        cpBandError_ = band_error;
-        cpTotal_ = total;
-        cpSimulated_ = simulated;
-        hasCritpath_ = true;
+        blocks_.emplace_back(std::move(name), std::move(fields));
     }
 
     double
@@ -374,18 +237,12 @@ class BenchReport
                << "\", \"invariants_checked\": " << checks
                << ", \"violations\": 0},\n";
         }
-        if (hasModelcheck_) {
-            os << "  \"modelcheck\": {\"states_explored\": "
-               << mcStates_ << ", \"schedules\": " << mcSchedules_
-               << ", \"dpor_reduction\": " << mcReduction_
-               << ", \"violations\": " << mcViolations_ << "},\n";
-        }
-        if (hasCritpath_) {
-            os << "  \"critpath\": {\"predicted_makespan\": "
-               << cpPredicted_ << ", \"band_error\": " << cpBandError_
-               << ", \"points_total\": " << cpTotal_
-               << ", \"points_simulated\": " << cpSimulated_
-               << "},\n";
+        for (const auto &[name, fields] : blocks_) {
+            os << "  \"" << escape(name) << "\": {";
+            for (std::size_t i = 0; i < fields.size(); ++i)
+                os << (i ? ", \"" : "\"") << escape(fields[i].first)
+                   << "\": " << fields[i].second;
+            os << "},\n";
         }
         // Replay-path instrumentation: the active SIMD kernel set and
         // the "replay.*" global counter group (epoch/record totals,
@@ -485,16 +342,7 @@ class BenchReport
     std::uint64_t checks0_;  ///< "audit.checks" when the report opened
     double simulatedCycles_ = 0;
     std::string auditLevel_ = "off";
-    bool hasModelcheck_ = false;
-    double mcStates_ = 0;
-    double mcSchedules_ = 0;
-    double mcReduction_ = 0;
-    double mcViolations_ = 0;
-    bool hasCritpath_ = false;
-    double cpPredicted_ = 0;
-    double cpBandError_ = 0;
-    double cpTotal_ = 0;
-    double cpSimulated_ = 0;
+    std::vector<std::pair<std::string, Fields>> blocks_;
     std::vector<std::pair<std::string, Fields>> results_;
 };
 
@@ -512,7 +360,7 @@ struct BenchSession
     BenchReport report;
 
     BenchSession(const char *bench, int argc, char **argv)
-        : args(parseArgs(argc, argv)), ex(makeExecutor(args)),
+        : args(parseArgs(argc, argv)), ex(args.jobs),
           report(bench, args, ex.jobs())
     {
         setInformEnabled(false);
@@ -535,6 +383,19 @@ struct BenchSession
         report.setAuditLevel(args.audit);
         if (args.forceScalar)
             simd::setForceScalar(true);
+    }
+
+    /** sim::runArtifact() under this command line: its configs,
+     *  trace cache and --prune, its executor and det-probe. */
+    sim::ArtifactResult
+    run(sim::Artifact artifact)
+    {
+        sim::ArtifactRun r;
+        r.artifact = artifact;
+        r.config = [this](tpcc::TxnType t) { return configFor(t, args); };
+        r.traceCache = args.traceCache;
+        r.pruneOracle = args.prune == "oracle";
+        return sim::runArtifact(r, ex, report.probe());
     }
 
     int

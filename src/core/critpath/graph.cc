@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/addr.h"
+#include "base/detorder.h"
 #include "base/lineset.h"
 #include "base/log.h"
 #include "base/narrow.h"
@@ -253,12 +254,10 @@ DepGraph::buildEpoch(const EpochTrace &e, EpochNode &node,
 
     // Flat lookup table: stores sorted by (line, rec) so the analyzer
     // resolves "stores of epoch A on line L" with one binary search.
-    std::sort(node.stores.begin(), node.stores.end(),
-              [](const EpochNode::MemEvent &a,
-                 const EpochNode::MemEvent &b) {
-                  return a.line != b.line ? a.line < b.line
-                                          : a.rec < b.rec;
-              });
+    // Each store record appears once, so the key is total.
+    det::canonicalSort(node.stores, [](const EpochNode::MemEvent &e) {
+        return std::make_pair(e.line, e.rec);
+    });
 }
 
 } // namespace critpath

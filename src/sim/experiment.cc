@@ -205,27 +205,51 @@ simulate(const BenchmarkTraces &traces, TraceBuild which,
 }
 
 RunResult
+simulate(const BenchmarkTraces &traces, const SimPoint &p)
+{
+    return simulate(traces, p.build, p.machine, p.mode, p.warmup);
+}
+
+SimPoint
+barPoint(Bar bar, const ExperimentConfig &cfg)
+{
+    SimPoint p{TraceBuild::Tls, cfg.machine, ExecMode::Tls,
+               cfg.warmupTxns};
+    switch (bar) {
+      case Bar::Sequential:
+        p.build = TraceBuild::Original;
+        p.mode = ExecMode::Serial;
+        break;
+      case Bar::TlsSeq:
+        p.mode = ExecMode::Serial;
+        break;
+      case Bar::NoSubthread:
+        p.machine.tls.subthreadsPerThread = 1;
+        break;
+      case Bar::Baseline:
+        break;
+      case Bar::NoSpeculation:
+        p.mode = ExecMode::NoSpeculation;
+        break;
+    }
+    return p;
+}
+
+SimPoint
+sweepPoint(const ExperimentConfig &cfg, unsigned k, std::uint64_t s)
+{
+    SimPoint p{TraceBuild::Tls, cfg.machine, ExecMode::Tls,
+               cfg.warmupTxns};
+    p.machine.tls.subthreadsPerThread = k;
+    p.machine.tls.subthreadSpacing = s;
+    return p;
+}
+
+RunResult
 runBar(Bar bar, const BenchmarkTraces &traces,
        const ExperimentConfig &cfg)
 {
-    MachineConfig mc = cfg.machine;
-    const unsigned w = cfg.warmupTxns;
-    switch (bar) {
-      case Bar::Sequential:
-        return simulate(traces, TraceBuild::Original, mc,
-                        ExecMode::Serial, w);
-      case Bar::TlsSeq:
-        return simulate(traces, TraceBuild::Tls, mc, ExecMode::Serial, w);
-      case Bar::NoSubthread:
-        mc.tls.subthreadsPerThread = 1;
-        return simulate(traces, TraceBuild::Tls, mc, ExecMode::Tls, w);
-      case Bar::Baseline:
-        return simulate(traces, TraceBuild::Tls, mc, ExecMode::Tls, w);
-      case Bar::NoSpeculation:
-        return simulate(traces, TraceBuild::Tls, mc,
-                        ExecMode::NoSpeculation, w);
-    }
-    panic("unknown bar");
+    return simulate(traces, barPoint(bar, cfg));
 }
 
 const RunResult &
@@ -279,12 +303,7 @@ runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
     ex.parallelFor(out.size(), [&](std::size_t i) {
         unsigned k = counts[i / spacings.size()];
         std::uint64_t s = spacings[i % spacings.size()];
-        MachineConfig mc = cfg.machine;
-        mc.tls.subthreadsPerThread = k;
-        mc.tls.subthreadSpacing = s;
-        out[i] = {k, s,
-                  simulate(traces, TraceBuild::Tls, mc, ExecMode::Tls,
-                           cfg.warmupTxns)};
+        out[i] = {k, s, simulate(traces, sweepPoint(cfg, k, s))};
     });
     return out;
 }
@@ -312,10 +331,16 @@ Table2Row
 table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
           const BenchmarkTraces &traces)
 {
+    return table2Row(type, cfg, traces,
+                     runBar(Bar::Sequential, traces, cfg));
+}
+
+Table2Row
+table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
+          const BenchmarkTraces &traces, const RunResult &seq)
+{
     Table2Row row{};
     row.type = type;
-
-    const RunResult seq = runBar(Bar::Sequential, traces, cfg);
     row.execMcycles = static_cast<double>(seq.makespan) / 1e6;
 
     // Workload statistics over the measured transactions of the TLS

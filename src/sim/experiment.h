@@ -187,6 +187,25 @@ RunResult simulate(const BenchmarkTraces &traces, TraceBuild which,
                    const MachineConfig &machine, ExecMode mode,
                    unsigned warmup);
 
+/** One simulation point: what simulate() replays, and how. */
+struct SimPoint
+{
+    TraceBuild build = TraceBuild::Tls;
+    MachineConfig machine;
+    ExecMode mode = ExecMode::Tls;
+    unsigned warmup = 0;
+};
+
+/** simulate() of `p`. */
+RunResult simulate(const BenchmarkTraces &traces, const SimPoint &p);
+
+/** The point behind one Figure 5 bar under `cfg`. */
+SimPoint barPoint(Bar bar, const ExperimentConfig &cfg);
+
+/** The Figure 6 point under `cfg`: k sub-threads at spacing s. */
+SimPoint sweepPoint(const ExperimentConfig &cfg, unsigned k,
+                    std::uint64_t s);
+
 /** Run one Figure 5 bar over previously captured traces. */
 RunResult runBar(Bar bar, const BenchmarkTraces &traces,
                  const ExperimentConfig &cfg);
@@ -219,6 +238,9 @@ struct SweepPoint
     unsigned subthreads;
     std::uint64_t spacing;
     RunResult run;
+    /** False: pruned by the critical-path oracle (ArtifactRun), and
+     *  run.makespan is the calibrated prediction. */
+    bool simulated = true;
 };
 
 /** Capture, index, then the executor variant on one worker. */
@@ -258,6 +280,10 @@ Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg);
  *  sequential time is runBar(Bar::Sequential, ...). */
 Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
                     const BenchmarkTraces &traces);
+
+/** The same, from the SEQUENTIAL run `seq` of `traces` under `cfg`. */
+Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg,
+                    const BenchmarkTraces &traces, const RunResult &seq);
 
 } // namespace sim
 } // namespace tlsim

@@ -571,10 +571,10 @@ imageDatabase(const CaptureOptions &opts, const db::DbConfig &dbc,
     // the open-or-load only, never the transactions.
     MutexLock image_lock(StemLocks::instance().forImage(opts.dbImage));
     auto &gc = stats::GlobalCounters::instance();
-    if (auto tdb = TpccDb::openImage(opts.dbImage, opts.scale, dbc,
-                                     tracer, opts.loadSeed)) {
+    if (auto opened = TpccDb::openImage(opts.dbImage, opts.scale, dbc,
+                                        tracer, opts.loadSeed)) {
         gc.add("dbimage.open");
-        return tdb;
+        return opened;
     }
     gc.add("dbimage.create");
     auto tdb = std::make_unique<TpccDb>(opts.scale, dbc, tracer);

@@ -46,6 +46,13 @@ EXPECTATIONS = {
     # one-letter spelling hints; a parameter declared as a project
     # class still binds.
     "a1_unknown_receiver": ([("src/sim/cache.cc", "A1", 23)], 1, 0),
+    # Constructor calls: a `static const Site s("...")` declaration
+    # runs Site's ctor, whose init list interns under the registry
+    # lock; `cat->table(1).put()` reaches Table::put through the
+    # declared return type of Catalog::table, on an `auto` local made
+    # by std::make_unique.
+    "a1_ctor_call": ([("src/db/loader.cc", "A1", 11),
+                      ("src/db/loader.cc", "A1", 36)], 1, 0),
     # Seeded unaudited mutator: speculative state written from a file
     # the AuditSink seam does not cover.
     "a2_unaudited": ([("src/sim/rogue.cc", "A2", 7)], 1, 0),

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "sim/artifact.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 
@@ -155,6 +156,60 @@ TEST(Figure6, MoreSubthreadsNeverMuchWorse)
     double t2 = static_cast<double>(points[0].run.makespan);
     double t8 = static_cast<double>(points[1].run.makespan);
     EXPECT_LT(t8, t2 * 1.10);
+}
+
+TEST(ConfigFor, PinsTxnsAndWarmupPerBenchmark)
+{
+    for (tpcc::TxnType t : tpcc::allBenchmarks()) {
+        for (bool quick : {false, true}) {
+            const ExperimentConfig cfg = configFor(t, quick, 0);
+            unsigned txns = 12, warmup = 2;
+            if (t == tpcc::TxnType::NewOrder150) {
+                txns = 6;
+                warmup = 1;
+            } else if (t == tpcc::TxnType::Delivery ||
+                       t == tpcc::TxnType::DeliveryOuter) {
+                txns = 8;
+            }
+            EXPECT_EQ(cfg.txns, txns) << tpcc::txnTypeName(t);
+            EXPECT_EQ(cfg.warmupTxns, warmup) << tpcc::txnTypeName(t);
+        }
+    }
+}
+
+TEST(ConfigFor, TxnsOverrideSetsWarmup)
+{
+    for (unsigned n : {1u, 3u, 4u, 5u, 20u}) {
+        const ExperimentConfig cfg =
+            configFor(tpcc::TxnType::NewOrder150, true, n);
+        EXPECT_EQ(cfg.txns, n);
+        EXPECT_EQ(cfg.warmupTxns, n > 4 ? 2u : 1u) << n;
+    }
+}
+
+TEST(ConfigFor, ScaleIsFullOrQuick)
+{
+    const tpcc::TpccConfig full =
+        configFor(tpcc::TxnType::Payment, false, 0).scale;
+    EXPECT_EQ(full.items, tpcc::TpccConfig{}.items);
+    EXPECT_EQ(full.districts, tpcc::TpccConfig{}.districts);
+    EXPECT_EQ(full.customersPerDistrict, 3000u);
+    EXPECT_EQ(full.firstNewOrder, 2101u);
+
+    const tpcc::TpccConfig q =
+        configFor(tpcc::TxnType::Payment, true, 0).scale;
+    EXPECT_EQ(q.items, 2000u);
+    EXPECT_EQ(q.districts, tpcc::TpccConfig::tiny().districts);
+    EXPECT_EQ(q.customersPerDistrict, 150u);
+    EXPECT_EQ(q.ordersPerDistrict, 150u);
+    EXPECT_EQ(q.firstNewOrder, 76u);
+}
+
+TEST(ConfigFor, MachineIsTheDefault)
+{
+    const ExperimentConfig cfg =
+        configFor(tpcc::TxnType::Delivery, true, 3);
+    EXPECT_TRUE(cfg.machine == MachineConfig{});
 }
 
 TEST(Bars, NamesAreStable)

@@ -183,13 +183,17 @@ BUILTIN_TYPES = {
 # --- program model -------------------------------------------------------
 
 class CallSite:
-    __slots__ = ("name", "quals", "recv", "recv_class", "line", "idx")
+    __slots__ = ("name", "quals", "recv", "recv_class", "recv_call",
+                 "line", "idx")
 
-    def __init__(self, name, quals, recv, recv_class, line, idx):
+    def __init__(self, name, quals, recv, recv_class, line, idx,
+                 recv_call=None):
         self.name = name          # callee spelling
         self.quals = quals        # explicit A::B:: prefix, tuple
         self.recv = recv          # receiver spelling ('' if none)
         self.recv_class = recv_class  # class, when statically known
+        self.recv_call = recv_call  # CallSite whose result is the
+        #                             receiver: `g(...).f()`
         self.line = line
         self.idx = idx            # index into the file's code tokens
 
@@ -208,12 +212,13 @@ class FuncDef:
     __slots__ = ("qual", "name", "cls", "relpath", "line", "hot",
                  "body", "calls", "acqs", "nested_edges",
                  "calls_under", "node_locals", "local_reserved",
-                 "aliases", "sig")
+                 "aliases", "sig", "ret")
 
     def __init__(self, qual, name, cls, relpath, line, hot):
         self.qual = qual          # e.g. "TlsMachine::stepCpuBatch"
         self.name = name
         self.cls = cls            # enclosing/explicit class or None
+        self.ret = None           # `Cls` of a `Cls &`/`Cls *`/`Cls` return
         self.relpath = relpath
         self.line = line
         self.hot = hot            # carries TLSIM_HOT
@@ -312,6 +317,24 @@ def _receiver_of(code, i):
     if code[j].kind == "id":
         return code[j].text, None
     return "", None
+
+
+def _call_site(code, i, fn):
+    """The CallSite of the call whose callee spelling is code[i] (the
+    next token is its '('), made inside `fn`."""
+    recv, recv_class, quals, recv_call = "", None, (), None
+    prev = code[i - 1].text
+    if prev in (".", "->"):
+        recv, recv_class = _receiver_of(code, i)
+        recv_class = fn.aliases.get(recv, recv_class)
+        if code[i - 2].text == ")" and recv_class is None:
+            callee = _match_back(code, i - 2, "(", ")") - 1
+            recv_call = next((c for c in fn.calls if c.idx == callee),
+                             None)
+    elif prev == "::":
+        quals = _qual_chain(code, i)
+    return CallSite(code[i].text, quals, recv, recv_class, code[i].line,
+                    i, recv_call)
 
 
 def _qual_chain(code, i):
@@ -605,9 +628,30 @@ def build_file_model(relpath, tokens, lines):
                     if code[d].text == "TLSIM_HOT":
                         hot = True
                 fn = FuncDef(qual, t, cls, relpath, tok.line, hot)
+                r = prev_i
+                while r >= 0 and code[r].text in ("&", "*", "&&"):
+                    r -= 1
+                if r >= 0 and code[r].kind == "id" and \
+                        code[r].text not in KEYWORDS:
+                    fn.ret = code[r].text
                 fn.body = (body_open, None)
                 fn.sig = (i + 1, close)
                 fm.funcs.append(fn)
+                # Calls inside a ctor init list's initializers run
+                # before the body, under no lock of this function (the
+                # member names heading each initializer are not calls).
+                depth = 0
+                for m in range(close + 1, body_open):
+                    tm = code[m].text
+                    if tm in ("(", "{"):
+                        depth += 1
+                    elif tm in (")", "}"):
+                        depth -= 1
+                    elif depth and code[m].kind == "id" and \
+                            code[m + 1].text == "(" and \
+                            tm not in KEYWORDS:
+                        fn.calls_under[len(fn.calls)] = frozenset()
+                        fn.calls.append(_call_site(code, m, fn))
                 # The 'func' entry itself stands for the body brace:
                 # its matching '}' pops it and closes fn.body.
                 ctx.append(("func", fn))
@@ -646,33 +690,28 @@ def build_file_model(relpath, tokens, lines):
                     fn.aliases[code[k - 2].text] = code[i - 2].text
 
             if nxt == "(" and t not in KEYWORDS:
-                recv, recv_class = "", None
-                quals = ()
-                if prev in (".", "->"):
-                    recv, recv_class = _receiver_of(code, i)
-                    if recv in fn.aliases:
-                        recv_class = fn.aliases[recv]
-                elif prev == "::":
-                    quals = _qual_chain(code, i)
-                elif code[i - 1].kind == "id" and \
+                if prev not in (".", "->", "::") and \
+                        code[i - 1].kind == "id" and \
                         code[i - 1].text not in KEYWORDS and \
                         t not in LOCK_TYPES:
-                    # `Type var(args)` — record the ctor call.
-                    cs = CallSite(code[i - 1].text,
-                                  _qual_chain(code, i - 1), "", None,
-                                  tok.line, i - 1)
+                    # `[static const] Type var(args)` calls Type's
+                    # constructor: Type::Type.
+                    cls_t = code[i - 1].text
+                    cs = CallSite(cls_t,
+                                  _qual_chain(code, i - 1) + (cls_t,),
+                                  "", None, tok.line, i - 1)
                     fn.calls.append(cs)
                     fn.calls_under[len(fn.calls) - 1] = frozenset(
                         a.lock_id for a in active_acqs)
                     i += 1
                     continue
-                cs = CallSite(t, quals, recv, recv_class, tok.line, i)
+                cs = _call_site(code, i, fn)
                 fn.calls.append(cs)
                 fn.calls_under[len(fn.calls) - 1] = frozenset(
                     a.lock_id for a in active_acqs)
-                if t == "reserve" and recv:
-                    fn.local_reserved.add(recv)
-                    fm.reserved.add(recv)
+                if t == "reserve" and cs.recv:
+                    fn.local_reserved.add(cs.recv)
+                    fm.reserved.add(cs.recv)
         i += 1
     return fm
 
@@ -811,6 +850,15 @@ class Program:
                     code[k + 1].text not in ("=", ";", "{", "(", ":"):
                 continue
             ltype = type_before(code, k - 1)
+            # `auto p = [std::]make_unique<Cls>(...)`: p->f() is Cls::f.
+            m = k + 2
+            if code[m].text == "std" and code[m + 1].text == "::":
+                m += 2
+            if ltype == "auto" and code[k + 1].text == "=" and \
+                    code[m].text in ("make_unique", "make_shared") and \
+                    code[m + 1].text == "<" and \
+                    code[m + 2].kind == "id" and code[m + 3].text == ">":
+                ltype = code[m + 2].text
             if ltype is not None:
                 record(tok.text, ltype)
         return decls
@@ -820,6 +868,11 @@ class Program:
         is unambiguous; see DESIGN.md §4.8 for what this misses."""
         if call.recv_class:
             return self.by_qual.get(f"{call.recv_class}::{call.name}")
+        if call.recv_call is not None:
+            # `g(...).f()`: f of the class g is declared to return.
+            g = self.resolve(call.recv_call, caller)
+            if g is not None and g.ret in self.classes:
+                return self.by_qual.get(f"{g.ret}::{call.name}")
         if call.quals:
             fn = self.by_qual.get(
                 f"{call.quals[-1]}::{call.name}")

@@ -22,18 +22,22 @@
  * additionally attaches the runtime invariant auditor to the
  * simulation.
  *
- * Exit status: 0 all checks passed, 1 any mismatch.
+ * Mode 2 captures with the benchmark's config from sim::configFor,
+ * the one the bench binaries use.
+ *
+ * Exit status: 0 all checks passed, 1 any mismatch, 2 a usage error
+ * (sim/cli.h).
  */
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "base/log.h"
 #include "core/machine.h"
 #include "core/traceindex.h"
-#include "sim/experiment.h"
+#include "sim/artifact.h"
+#include "sim/cli.h"
 #include "sim/tracecache.h"
 #include "sim/traceio.h"
 #include "tpcc/tpcc.h"
@@ -43,38 +47,6 @@
 using namespace tlsim;
 
 namespace {
-
-struct Args
-{
-    std::map<std::string, std::string> kv;
-    bool has(const std::string &k) const { return kv.count(k) > 0; }
-
-    std::string
-    str(const std::string &k, const std::string &dflt = "") const
-    {
-        auto it = kv.find(k);
-        return it == kv.end() ? dflt : it->second;
-    }
-
-    std::uint64_t
-    num(const std::string &k, std::uint64_t dflt) const
-    {
-        auto it = kv.find(k);
-        return it == kv.end() ? dflt : std::stoull(it->second);
-    }
-};
-
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: tlscheck --trace=FILE [--idx=FILE] [--line-bytes=N]\n"
-        "       tlscheck --benchmark=NAME [--quick] [--txns=N]\n"
-        "                [--warmup=N] [--trace-cache=DIR]\n"
-        "                [--audit=off|commit|full]\n");
-    return 2;
-}
 
 int
 report(const char *what, const std::vector<std::string> &errors)
@@ -106,13 +78,12 @@ printSummary(const char *name, const verify::CheckResult &chk)
 }
 
 int
-checkTraceFile(const Args &a)
+checkTraceFile(const cli::Args &a)
 {
     WorkloadTrace w;
     if (!sim::loadTraceFile(a.str("trace"), &w))
         fatal("not a tlsim trace file: %s", a.str("trace").c_str());
-    auto line_bytes =
-        static_cast<unsigned>(a.num("line-bytes", MemConfig{}.lineBytes));
+    const unsigned line_bytes = a.u32("line-bytes", MemConfig{}.lineBytes);
 
     verify::CheckResult chk = verify::checkTrace(w, line_bytes);
     printSummary(a.str("trace").c_str(), chk);
@@ -130,38 +101,15 @@ checkTraceFile(const Args &a)
                   verify::diffAgainstIndex(chk, *owned, w));
 }
 
-tpcc::TxnType
-benchmarkByName(const std::string &name)
-{
-    std::string spaced = name;
-    for (char &c : spaced)
-        if (c == '_')
-            c = ' ';
-    for (tpcc::TxnType t : tpcc::allBenchmarks())
-        if (spaced == tpcc::txnTypeName(t))
-            return t;
-    fatal("unknown benchmark '%s'", name.c_str());
-}
-
 int
-checkBenchmark(const Args &a)
+checkBenchmark(const cli::Args &a)
 {
-    tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
-
-    sim::ExperimentConfig cfg;
-    if (a.has("quick")) {
-        cfg.scale = tpcc::TpccConfig::tiny();
-        cfg.scale.items = 2000;
-        cfg.scale.customersPerDistrict = 150;
-        cfg.scale.ordersPerDistrict = 150;
-        cfg.scale.firstNewOrder = 76;
-        cfg.txns = 8;
-    }
-    cfg.txns = static_cast<unsigned>(a.num("txns", cfg.txns));
-    cfg.warmupTxns = static_cast<unsigned>(
-        a.num("warmup", std::min(2u, cfg.txns / 2)));
+    tpcc::TxnType type = a.benchmark("benchmark");
+    sim::ExperimentConfig cfg = sim::configFor(
+        type, a.has("quick"), a.u32("txns", 0));
+    cfg.warmupTxns = a.u32("warmup", cfg.warmupTxns);
     cfg.machine.tls.auditLevel =
-        parseAuditLevel(a.str("audit", "off"));
+        parseAuditLevel(a.oneOf("audit", {"off", "commit", "full"}));
 
     std::fprintf(stderr, "tlscheck: capturing %s...\n",
                  tpcc::txnTypeName(type));
@@ -208,22 +156,23 @@ checkBenchmark(const Args &a)
 int
 main(int argc, char **argv)
 {
+    using F = cli::Flag;
     setInformEnabled(false);
-    Args a;
-    for (int i = 1; i < argc; ++i) {
-        std::string s = argv[i];
-        if (s.rfind("--", 0) != 0)
-            return usage();
-        s = s.substr(2);
-        auto eq = s.find('=');
-        if (eq == std::string::npos)
-            a.kv[s] = "1";
-        else
-            a.kv[s.substr(0, eq)] = s.substr(eq + 1);
-    }
+    const cli::Args a(
+        "tlscheck",
+        {{"trace", F::Text, "mode 1: check this trace file"},
+         {"idx", F::Text, "mode 1: against this index (default: built)"},
+         {"line-bytes", F::Number, "mode 1: cache line size"},
+         {"benchmark", F::Text, "mode 2: check NEW_ORDER, ..."},
+         {"quick", F::Switch, "mode 2: reduced TPC-C scale"},
+         {"txns", F::Number, "mode 2: transactions to capture"},
+         {"warmup", F::Number, "mode 2: warm-up transactions"},
+         {"trace-cache", F::Text, "mode 2: reuse on-disk traces"},
+         {"audit", F::Text, "mode 2: invariant auditor level"}},
+        argc, argv, 1);
     if (a.has("trace"))
         return checkTraceFile(a);
     if (a.has("benchmark"))
         return checkBenchmark(a);
-    return usage();
+    a.fail("give --trace or --benchmark");
 }

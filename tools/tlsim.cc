@@ -2,44 +2,26 @@
  * @file
  * tlsim — command-line driver for the sub-threads TLS simulator.
  *
- *   tlsim capture  --benchmark=NEW_ORDER --out=no.trace [options]
- *   tlsim info     --trace=no.trace
- *   tlsim replay   --trace=no.trace [machine options]
- *   tlsim figure5  --benchmark=NEW_ORDER [options]
- *   tlsim figure6  --benchmark=NEW_ORDER [options]
- *   tlsim table2   [options]
- *   tlsim bench    --artifact=figure5|figure6|table2 [options]
+ *   tlsim capture --benchmark=NEW_ORDER [--out=no.trace] [--quick] ...
+ *   tlsim info    --trace=no.trace
+ *   tlsim replay  --trace=no.trace [machine options]
  *
- * Common options:
- *   --quick            reduced TPC-C scale
- *   --txns=N           transactions to capture
- *   --original         capture the untuned, unparallelized build
- *   --jobs=N           parallel simulation points (0 = all cores)
- *   --trace-cache=DIR  reuse on-disk trace snapshots across runs
- * Machine options (replay):
- *   --mode=tls|serial|nospec   execution mode (default tls)
- *   --subthreads=K --spacing=N --cpus=N --adaptive
- *   --no-start-table --no-victim --lazy-updates
- *   --audit=off|commit|full    protocol invariant auditor level
- *   --warmup=N         transactions excluded from statistics
- *   --profile          print the dependence profiler afterwards
- *   --det-probe        print canonical capture/replay result digests
+ * `tlsim COMMAND --help` lists a command's flags (sim/cli.h; an
+ * unknown flag or a malformed number exits 2). A capture takes the
+ * benchmark's config from sim::configFor, as the bench binaries do;
+ * they produce the paper's artifacts (bench_table2_stats,
+ * bench_figure5_overall, bench_figure6_sweep).
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "base/log.h"
 #include "core/machine.h"
 #include "core/resulthash.h"
-#include "sim/executor.h"
-#include "sim/experiment.h"
-#include "sim/report.h"
-#include "sim/tracecache.h"
+#include "sim/artifact.h"
+#include "sim/cli.h"
 #include "sim/traceio.h"
 #include "tpcc/tpcc.h"
 #include "verify/auditor.h"
@@ -48,98 +30,15 @@ using namespace tlsim;
 
 namespace {
 
-struct Args
-{
-    std::string command;
-    std::map<std::string, std::string> kv;
-    bool has(const std::string &k) const { return kv.count(k) > 0; }
-
-    std::string
-    str(const std::string &k, const std::string &dflt = "") const
-    {
-        auto it = kv.find(k);
-        return it == kv.end() ? dflt : it->second;
-    }
-
-    std::uint64_t
-    num(const std::string &k, std::uint64_t dflt) const
-    {
-        auto it = kv.find(k);
-        return it == kv.end() ? dflt : std::stoull(it->second);
-    }
-};
-
-Args
-parse(int argc, char **argv)
-{
-    Args a;
-    if (argc >= 2)
-        a.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        std::string s = argv[i];
-        if (s.rfind("--", 0) != 0)
-            fatal("unexpected argument '%s'", s.c_str());
-        s = s.substr(2);
-        auto eq = s.find('=');
-        if (eq == std::string::npos)
-            a.kv[s] = "1";
-        else
-            a.kv[s.substr(0, eq)] = s.substr(eq + 1);
-    }
-    return a;
-}
-
-tpcc::TxnType
-benchmarkByName(const std::string &name)
-{
-    static const std::map<std::string, tpcc::TxnType> names = {
-        {"NEW_ORDER", tpcc::TxnType::NewOrder},
-        {"NEW_ORDER_150", tpcc::TxnType::NewOrder150},
-        {"DELIVERY", tpcc::TxnType::Delivery},
-        {"DELIVERY_OUTER", tpcc::TxnType::DeliveryOuter},
-        {"STOCK_LEVEL", tpcc::TxnType::StockLevel},
-        {"PAYMENT", tpcc::TxnType::Payment},
-        {"ORDER_STATUS", tpcc::TxnType::OrderStatus},
-    };
-    auto it = names.find(name);
-    if (it == names.end()) {
-        std::string known;
-        for (const auto &[n, t] : names)
-            known += n + " ";
-        fatal("unknown benchmark '%s' (known: %s)", name.c_str(),
-              known.c_str());
-    }
-    return it->second;
-}
-
-sim::ExperimentConfig
-experimentConfig(const Args &a)
-{
-    sim::ExperimentConfig cfg;
-    if (a.has("quick")) {
-        cfg.scale = tpcc::TpccConfig::tiny();
-        cfg.scale.items = 2000;
-        cfg.scale.customersPerDistrict = 150;
-        cfg.scale.ordersPerDistrict = 150;
-        cfg.scale.firstNewOrder = 76;
-        cfg.txns = 8;
-    }
-    cfg.txns = static_cast<unsigned>(a.num("txns", cfg.txns));
-    cfg.warmupTxns = static_cast<unsigned>(
-        a.num("warmup", std::min(2u, cfg.txns / 2)));
-    return cfg;
-}
-
 MachineConfig
-machineConfig(const Args &a)
+machineConfig(const cli::Args &a)
 {
     MachineConfig mc;
-    mc.tls.subthreadsPerThread = static_cast<unsigned>(
-        a.num("subthreads", mc.tls.subthreadsPerThread));
+    mc.tls.subthreadsPerThread =
+        a.u32("subthreads", mc.tls.subthreadsPerThread);
     mc.tls.subthreadSpacing =
         a.num("spacing", mc.tls.subthreadSpacing);
-    mc.tls.numCpus =
-        static_cast<unsigned>(a.num("cpus", mc.tls.numCpus));
+    mc.tls.numCpus = a.u32("cpus", mc.tls.numCpus);
     mc.tls.adaptiveSpacing = a.has("adaptive");
     if (a.has("no-start-table"))
         mc.tls.useStartTable = false;
@@ -147,20 +46,9 @@ machineConfig(const Args &a)
         mc.tls.useVictimCache = false;
     if (a.has("lazy-updates"))
         mc.tls.aggressiveUpdates = false;
-    mc.tls.auditLevel = parseAuditLevel(a.str("audit", "off"));
+    mc.tls.auditLevel =
+        parseAuditLevel(a.oneOf("audit", {"off", "commit", "full"}));
     return mc;
-}
-
-ExecMode
-modeByName(const std::string &m)
-{
-    if (m == "tls")
-        return ExecMode::Tls;
-    if (m == "serial")
-        return ExecMode::Serial;
-    if (m == "nospec")
-        return ExecMode::NoSpeculation;
-    fatal("unknown mode '%s' (tls|serial|nospec)", m.c_str());
 }
 
 void
@@ -216,10 +104,11 @@ printRun(const RunResult &r)
 }
 
 int
-cmdCapture(const Args &a)
+cmdCapture(const cli::Args &a)
 {
-    tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
-    sim::ExperimentConfig cfg = experimentConfig(a);
+    tpcc::TxnType type = a.benchmark("benchmark");
+    sim::ExperimentConfig cfg = sim::configFor(
+        type, a.has("quick"), a.u32("txns", 0));
 
     tpcc::CaptureOptions opts;
     opts.scale = cfg.scale;
@@ -238,7 +127,7 @@ cmdCapture(const Args &a)
 }
 
 int
-cmdInfo(const Args &a)
+cmdInfo(const cli::Args &a)
 {
     WorkloadTrace w;
     if (!sim::loadTraceFile(a.str("trace", "workload.trace"), &w))
@@ -258,14 +147,17 @@ cmdInfo(const Args &a)
 }
 
 int
-cmdReplay(const Args &a)
+cmdReplay(const cli::Args &a)
 {
     WorkloadTrace w;
     if (!sim::loadTraceFile(a.str("trace", "workload.trace"), &w))
         fatal("not a tlsim trace file");
     MachineConfig mc = machineConfig(a);
-    ExecMode mode = modeByName(a.str("mode", "tls"));
-    unsigned warmup = static_cast<unsigned>(a.num("warmup", 0));
+    const std::string name = a.oneOf("mode", {"tls", "serial", "nospec"});
+    const ExecMode mode = name == "tls"      ? ExecMode::Tls
+                          : name == "serial" ? ExecMode::Serial
+                                             : ExecMode::NoSpeculation;
+    unsigned warmup = a.u32("warmup", 0);
 
     TlsMachine m(mc);
     RunResult r = verify::runWithAudit(m, w, mode, warmup);
@@ -292,162 +184,46 @@ cmdReplay(const Args &a)
     return 0;
 }
 
-/** Executor sized from --jobs (default 1; 0 = one per core). */
-sim::SimExecutor
-executorOf(const Args &a)
-{
-    return sim::SimExecutor(static_cast<unsigned>(a.num("jobs", 1)));
-}
-
-int
-cmdFigure5(const Args &a)
-{
-    tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
-    sim::ExperimentConfig cfg = experimentConfig(a);
-    cfg.machine = machineConfig(a);
-    sim::SharedTraces traces =
-        sim::captureTracesShared(type, cfg, a.str("trace-cache"));
-    sim::SimExecutor ex = executorOf(a);
-    sim::Figure5Row row = sim::runFigure5(type, cfg, *traces, ex);
-    sim::printFigure5Row(std::cout, row);
-    return 0;
-}
-
-int
-cmdFigure6(const Args &a)
-{
-    tpcc::TxnType type = benchmarkByName(a.str("benchmark"));
-    sim::ExperimentConfig cfg = experimentConfig(a);
-    cfg.machine = machineConfig(a);
-
-    const std::vector<unsigned> counts = {2, 4, 8};
-    const std::vector<std::uint64_t> spacings = {1000,  2500,  5000,
-                                                 10000, 25000, 50000};
-
-    sim::SharedTraces traces =
-        sim::captureTracesShared(type, cfg, a.str("trace-cache"));
-    sim::SimExecutor ex = executorOf(a);
-    RunResult seq = sim::runBar(sim::Bar::Sequential, *traces, cfg);
-    std::vector<sim::SweepPoint> points =
-        sim::runFigure6(type, cfg, counts, spacings, *traces, ex);
-    sim::printFigure6(std::cout, tpcc::txnTypeName(type), points,
-                      seq.makespan);
-    return 0;
-}
-
-int
-cmdTable2(const Args &a)
-{
-    const auto &benches = tpcc::allBenchmarks();
-    std::vector<sim::ExperimentConfig> cfgs;
-    std::vector<sim::SharedTraces> traces;
-    for (tpcc::TxnType type : benches) {
-        std::fprintf(stderr, "capturing %s...\n",
-                     tpcc::txnTypeName(type));
-        cfgs.push_back(experimentConfig(a));
-        traces.push_back(sim::captureTracesShared(
-            type, cfgs.back(), a.str("trace-cache")));
-    }
-    sim::SimExecutor ex = executorOf(a);
-    std::vector<sim::Table2Row> rows(benches.size());
-    ex.parallelFor(benches.size(), [&](std::size_t i) {
-        rows[i] = sim::table2Row(benches[i], cfgs[i], *traces[i]);
-    });
-    sim::printTable2(std::cout, rows);
-    return 0;
-}
-
-/**
- * `tlsim bench`: run a full paper artifact (default figure5) across
- * all benchmarks, fanning the simulation points over --jobs workers
- * and reusing --trace-cache snapshots. --benchmark=NAME restricts the
- * run to one benchmark.
- */
-int
-cmdBench(const Args &a)
-{
-    std::string artifact = a.str("artifact", "figure5");
-    if (artifact == "table2")
-        return cmdTable2(a);
-    if (artifact != "figure5" && artifact != "figure6")
-        fatal("unknown artifact '%s' (figure5|figure6|table2)",
-              artifact.c_str());
-
-    std::vector<tpcc::TxnType> benches;
-    if (a.has("benchmark")) {
-        benches.push_back(benchmarkByName(a.str("benchmark")));
-    } else if (artifact == "figure6") {
-        benches = {tpcc::TxnType::NewOrder, tpcc::TxnType::NewOrder150,
-                   tpcc::TxnType::Delivery,
-                   tpcc::TxnType::DeliveryOuter,
-                   tpcc::TxnType::StockLevel};
-    } else {
-        benches = tpcc::allBenchmarks();
-    }
-
-    sim::ExperimentConfig cfg = experimentConfig(a);
-    cfg.machine = machineConfig(a);
-
-    // Serial capture phase, then parallel simulation per benchmark.
-    std::vector<sim::SharedTraces> traces;
-    for (tpcc::TxnType type : benches) {
-        std::fprintf(stderr, "capturing %s...\n",
-                     tpcc::txnTypeName(type));
-        traces.push_back(sim::captureTracesShared(
-            type, cfg, a.str("trace-cache")));
-    }
-
-    sim::SimExecutor ex = executorOf(a);
-    if (artifact == "figure5") {
-        std::vector<sim::Figure5Row> rows;
-        for (std::size_t b = 0; b < benches.size(); ++b) {
-            rows.push_back(
-                sim::runFigure5(benches[b], cfg, *traces[b], ex));
-            sim::printFigure5Row(std::cout, rows.back());
-        }
-        if (!a.has("benchmark"))
-            sim::printSpeedupSummary(std::cout, rows);
-        return 0;
-    }
-
-    const std::vector<unsigned> counts = {2, 4, 8};
-    const std::vector<std::uint64_t> spacings = {1000,  2500,  5000,
-                                                 10000, 25000, 50000};
-    for (std::size_t b = 0; b < benches.size(); ++b) {
-        RunResult seq =
-            sim::runBar(sim::Bar::Sequential, *traces[b], cfg);
-        std::vector<sim::SweepPoint> points = sim::runFigure6(
-            benches[b], cfg, counts, spacings, *traces[b], ex);
-        sim::printFigure6(std::cout, tpcc::txnTypeName(benches[b]),
-                          points, seq.makespan);
-    }
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    using F = cli::Flag;
     setInformEnabled(false);
-    Args a = parse(argc, argv);
-    if (a.command == "capture")
-        return cmdCapture(a);
-    if (a.command == "info")
-        return cmdInfo(a);
-    if (a.command == "replay")
-        return cmdReplay(a);
-    if (a.command == "figure5")
-        return cmdFigure5(a);
-    if (a.command == "figure6")
-        return cmdFigure6(a);
-    if (a.command == "table2")
-        return cmdTable2(a);
-    if (a.command == "bench")
-        return cmdBench(a);
-    std::fprintf(stderr,
-                 "usage: tlsim "
-                 "<capture|info|replay|figure5|figure6|table2|bench> "
-                 "[--key=value ...]\n");
-    return a.command.empty() ? 1 : (a.command == "help" ? 0 : 1);
+    const std::string cmd = argc >= 2 ? argv[1] : "";
+    const cli::Flag trace{"trace", F::Text, "trace file (workload.trace)"};
+    if (cmd == "capture")
+        return cmdCapture(cli::Args(
+            "tlsim capture",
+            {{"benchmark", F::Text, "NEW_ORDER, NEW_ORDER_150, ..."},
+             {"out", F::Text, "trace file to write (workload.trace)"},
+             {"quick", F::Switch, "reduced TPC-C scale"},
+             {"txns", F::Number, "transactions (default: sim::configFor)"},
+             {"original", F::Switch, "the untuned, unparallelized build"}},
+            argc, argv, 2));
+    if (cmd == "info")
+        return cmdInfo(cli::Args("tlsim info", {trace}, argc, argv, 2));
+    if (cmd == "replay")
+        return cmdReplay(cli::Args(
+            "tlsim replay",
+            {trace,
+             {"mode", F::Text, "tls|serial|nospec (default tls)"},
+             {"subthreads", F::Number, "sub-thread contexts per CPU"},
+             {"spacing", F::Number, "speculative insts per sub-thread"},
+             {"cpus", F::Number, "CPUs"},
+             {"adaptive", F::Switch, "adaptive sub-thread spacing"},
+             {"no-start-table", F::Switch, "no sub-thread start table"},
+             {"no-victim", F::Switch, "no victim cache"},
+             {"lazy-updates", F::Switch, "lazy speculative updates"},
+             {"audit", F::Text, "invariant auditor: off|commit|full"},
+             {"warmup", F::Number, "transactions left out of statistics"},
+             {"profile", F::Switch, "print the dependence profiler"},
+             {"stats", F::Switch, "dump the machine's statistics"},
+             {"det-probe", F::Switch, "print capture/replay digests"}},
+            argc, argv, 2));
+    std::fprintf(cmd == "help" ? stdout : stderr,
+                 "usage: tlsim <capture|info|replay> [--flag[=value] "
+                 "...]\n");
+    return cmd == "help" ? 0 : 2;
 }
