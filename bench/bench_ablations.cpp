@@ -16,9 +16,11 @@
  *    limited to it;
  *  - violation delivery latency sensitivity.
  *
- * Every machine run is registered as a job up front and fanned out
- * across --jobs workers; sections print in order afterwards, so the
- * report is bit-identical for any job count.
+ * Every machine run is registered as a sim::simulate() point up front
+ * and fanned out across --jobs workers; a point that several sections
+ * show (the default machine on NEW ORDER appears eight times) runs
+ * once. Sections print in order afterwards, so the report is
+ * bit-identical for any job count.
  */
 
 #include <cstdio>
@@ -92,30 +94,33 @@ main(int argc, char **argv)
     uopts.txns = cfg.txns;
     uopts.tlsBuild = false;
     uopts.parallelMode = true; // naive parallelization attempt
-    WorkloadTrace untuned =
-        tpcc::captureBenchmark(tpcc::TxnType::NewOrder, uopts);
+    sim::BenchmarkTraces untuned;
+    untuned.tls = tpcc::captureBenchmark(tpcc::TxnType::NewOrder, uopts);
+    untuned.buildIndexes(cfg.machine.mem.lineBytes);
 
     // ----- job registration (results land by index) -------------------
     struct Job
     {
-        const WorkloadTrace *w;
-        MachineConfig mc;
-        ExecMode mode;
-        const TraceIndex *idx = nullptr;
+        const sim::BenchmarkTraces *traces;
+        sim::SimPoint point;
     };
     std::vector<Job> jobs;
-    auto add = [&](const WorkloadTrace &w, MachineConfig mc,
-                   ExecMode mode = ExecMode::Tls,
-                   const TraceIndex *idx = nullptr) {
-        jobs.push_back({&w, mc, mode, idx});
+    auto add = [&](const sim::BenchmarkTraces &t, sim::TraceBuild build,
+                   const MachineConfig &mc, ExecMode mode,
+                   unsigned warmup) {
+        jobs.push_back({&t, {build, mc, mode, warmup}});
         return jobs.size() - 1;
     };
-    auto tls = [&](MachineConfig mc) {
-        return add(traces->tls, mc);
+    auto tls = [&](const MachineConfig &mc) {
+        return add(*traces, sim::TraceBuild::Tls, mc, ExecMode::Tls,
+                   cfg.warmupTxns);
+    };
+    auto serial = [&](const MachineConfig &mc) {
+        return add(*traces, sim::TraceBuild::Original, mc,
+                   ExecMode::Serial, cfg.warmupTxns);
     };
 
-    std::size_t j_seq = add(traces->original, cfg.machine,
-                            ExecMode::Serial);
+    std::size_t j_seq = serial(cfg.machine);
 
     std::size_t j_aggr = tls(cfg.machine);
     MachineConfig lazy_mc = cfg.machine;
@@ -142,7 +147,7 @@ main(int argc, char **argv)
         MachineConfig mc = cfg.machine;
         mc.tls.numCpus = cpu_counts[i];
         // Sequential reference uses the same idle-CPU accounting.
-        j_cpu_seq[i] = add(traces->original, mc, ExecMode::Serial);
+        j_cpu_seq[i] = serial(mc);
         j_cpu_tls[i] = tls(mc);
     }
 
@@ -165,47 +170,41 @@ main(int argc, char **argv)
     // whether risk records cluster (DELIVERY's btree walks) or spread
     // evenly (NEW ORDER) decides which policy wins, so a single
     // transaction type would over- or under-sell the mechanism.
-    const tpcc::TxnType place_txns[] = {
-        tpcc::TxnType::NewOrder, tpcc::TxnType::NewOrder150,
-        tpcc::TxnType::Delivery, tpcc::TxnType::DeliveryOuter,
-        tpcc::TxnType::StockLevel,
-    };
-    constexpr std::size_t kPlaceBench =
-        sizeof(place_txns) / sizeof(place_txns[0]);
-    sim::SharedTraces place_traces[kPlaceBench];
-    std::size_t j_place_fixed[kPlaceBench], j_place_risk[kPlaceBench];
-    std::size_t j_place_seq[kPlaceBench];
+    // Each benchmark runs with its own capture config's warm-up.
+    const std::vector<tpcc::TxnType> &place_txns = sim::sweepBenchmarks();
+    const std::size_t kPlaceBench = place_txns.size();
+    std::vector<sim::SharedTraces> place_traces(kPlaceBench);
+    std::vector<std::size_t> j_place_fixed(kPlaceBench),
+        j_place_risk(kPlaceBench), j_place_seq(kPlaceBench);
     for (std::size_t i = 0; i < kPlaceBench; ++i) {
+        sim::ExperimentConfig pcfg = bench::configFor(place_txns[i], args);
         place_traces[i] =
-            i == 0 ? traces
-                   : sim::captureTracesShared(
-                         place_txns[i],
-                         bench::configFor(place_txns[i], args),
-                         args.traceCache);
-        MachineConfig fixed_mc = cfg.machine;
+            place_txns[i] == tpcc::TxnType::NewOrder
+                ? traces
+                : sim::captureTracesShared(place_txns[i], pcfg,
+                                           args.traceCache);
+        MachineConfig fixed_mc = pcfg.machine;
         fixed_mc.tls.riskPlacement = false;
-        MachineConfig risk_mc = cfg.machine;
+        MachineConfig risk_mc = pcfg.machine;
         risk_mc.tls.riskPlacement = true;
-        const TraceIndex *idx = place_traces[i]->tlsIndex.get();
-        j_place_fixed[i] = add(place_traces[i]->tls, fixed_mc,
-                               ExecMode::Tls, idx);
-        j_place_risk[i] = add(place_traces[i]->tls, risk_mc,
-                              ExecMode::Tls, idx);
-        j_place_seq[i] =
-            i == 0 ? j_seq
-                   : add(place_traces[i]->original, cfg.machine,
-                         ExecMode::Serial,
-                         place_traces[i]->originalIndex.get());
+        const sim::BenchmarkTraces &t = *place_traces[i];
+        j_place_fixed[i] = add(t, sim::TraceBuild::Tls, fixed_mc,
+                               ExecMode::Tls, pcfg.warmupTxns);
+        j_place_risk[i] = add(t, sim::TraceBuild::Tls, risk_mc,
+                              ExecMode::Tls, pcfg.warmupTxns);
+        j_place_seq[i] = add(t, sim::TraceBuild::Original, pcfg.machine,
+                             ExecMode::Serial, pcfg.warmupTxns);
     }
 
     // Software tuning x sub-thread support (2x2 matrix).
     std::size_t j_matrix[2][2];
     for (int tuned = 0; tuned < 2; ++tuned) {
-        const WorkloadTrace &w = tuned ? traces->tls : untuned;
         for (int sub = 0; sub < 2; ++sub) {
             MachineConfig mc = cfg.machine;
             mc.tls.subthreadsPerThread = sub ? 8 : 1;
-            j_matrix[tuned][sub] = add(w, mc);
+            j_matrix[tuned][sub] =
+                add(tuned ? *traces : untuned, sim::TraceBuild::Tls, mc,
+                    ExecMode::Tls, cfg.warmupTxns);
         }
     }
 
@@ -217,8 +216,10 @@ main(int argc, char **argv)
             h.u64(det::hashWorkloadTrace(traces->tls));
             caps.push_back(h.value());
         }
-        caps.push_back(det::hashWorkloadTrace(untuned));
-        for (std::size_t i = 1; i < kPlaceBench; ++i) {
+        caps.push_back(det::hashWorkloadTrace(untuned.tls));
+        for (std::size_t i = 0; i < kPlaceBench; ++i) {
+            if (place_traces[i] == traces)
+                continue;
             det::Hash h;
             h.u64(det::hashWorkloadTrace(place_traces[i]->original));
             h.u64(det::hashWorkloadTrace(place_traces[i]->tls));
@@ -230,13 +231,7 @@ main(int argc, char **argv)
     // ----- parallel execution ----------------------------------------
     std::vector<RunResult> res(jobs.size());
     ex.parallelFor(jobs.size(), [&](std::size_t i) {
-        TlsMachine m(jobs[i].mc);
-        const TraceIndex *idx = jobs[i].idx;
-        if (!idx && jobs[i].w == &traces->original)
-            idx = traces->originalIndex.get();
-        else if (!idx && jobs[i].w == &traces->tls)
-            idx = traces->tlsIndex.get();
-        res[i] = m.run(*jobs[i].w, jobs[i].mode, cfg.warmupTxns, idx);
+        res[i] = sim::simulate(*jobs[i].traces, jobs[i].point);
     });
 
     if (report.probe().enabled()) {

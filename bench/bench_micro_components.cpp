@@ -28,6 +28,7 @@
 #include "mem/l1cache.h"
 #include "mem/l2cache.h"
 #include "sim/traceio.h"
+#include "tests/core/goldentrace.h"
 
 using namespace tlsim;
 
@@ -341,6 +342,31 @@ BENCHMARK_CAPTURE(BM_ReplayTpcc, STOCK_LEVEL,
                   tpcc::TxnType::StockLevel)
     ->Arg(0)
     ->Arg(1);
+
+/**
+ * Replay throughput on the address-free workload of the golden replay
+ * pins (tests/core/goldentrace.h): fixed integer addresses, so unlike
+ * BM_ReplayTpcc every process replays the same records whatever the
+ * ASLR layout or argv length. One index, shared as the sweeps share
+ * theirs; the machine is reused across iterations.
+ */
+void
+BM_ReplaySynthetic(benchmark::State &state, ExecMode mode)
+{
+    static const WorkloadTrace w = golden::replayWorkload();
+    MachineConfig cfg;
+    static const TraceIndex index(w, cfg.mem.lineBytes);
+    TlsMachine m(cfg);
+    std::uint64_t records = 0;
+    for (auto _ : state) {
+        RunResult r = m.run(w, mode, /*warmup_txns=*/1, &index);
+        records += r.recordsReplayed;
+        benchmark::DoNotOptimize(r.makespan);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK_CAPTURE(BM_ReplaySynthetic, Serial, ExecMode::Serial);
+BENCHMARK_CAPTURE(BM_ReplaySynthetic, Tls, ExecMode::Tls);
 
 /** Capture-side throughput: tracer append path (records/second). */
 void

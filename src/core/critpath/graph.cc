@@ -169,42 +169,34 @@ DepGraph::buildEpoch(const EpochTrace &e, EpochNode &node,
             checkedNarrow<std::uint32_t>(core.now() - start);
         node.prefixSpec[i] = checkedNarrow<std::uint32_t>(spec);
 
-        const std::uint32_t head = v.head[i];
-        const TraceOp op = EpochView::op(head);
+        const TraceRecord &r = v.records[i];
+        const TraceOp op = r.op;
         std::uint64_t insts = 0;
         switch (op) {
-          case TraceOp::Load: {
-            pricer.load(v.memAddr(i),
-                        EpochView::aux(head) & kAuxDependent);
-            insts = EpochView::aux(head) >> kAuxInstShift;
-            if (!esc) {
-                const bool conflict =
-                    (head & EpochView::kConflictBit) != 0;
-                const bool covered =
-                    (head & EpochView::kCoveredBit) != 0;
-                if (conflict && !covered)
-                    node.exposedLoads.push_back(
-                        {checkedNarrow<std::uint32_t>(i),
-                         geom.lineNum(v.memAddr(i))});
-            }
+          case TraceOp::Load:
+            pricer.load(r.addr, r.aux & kAuxDependent);
+            insts = r.aux >> kAuxInstShift;
+            if (!esc && (v.flags[i] & (EpochView::kConflict |
+                                       EpochView::kCovered)) ==
+                            EpochView::kConflict)
+                node.exposedLoads.push_back(
+                    {checkedNarrow<std::uint32_t>(i),
+                     geom.lineNum(r.addr)});
             break;
-          }
-          case TraceOp::Store: {
-            pricer.store(v.memAddr(i));
-            insts = EpochView::aux(head) >> kAuxInstShift;
-            if (head & EpochView::kConflictBit)
+          case TraceOp::Store:
+            pricer.store(r.addr);
+            insts = r.aux >> kAuxInstShift;
+            if (v.flags[i] & EpochView::kConflict)
                 node.stores.push_back(
                     {checkedNarrow<std::uint32_t>(i),
-                     geom.lineNum(v.memAddr(i)), esc});
+                     geom.lineNum(r.addr), esc});
             break;
-          }
           case TraceOp::Compute:
-            insts = v.value(i);
-            core.doCompute(insts, static_cast<ComputeClass>(
-                                      EpochView::aux(head)));
+            insts = r.addr;
+            core.doCompute(insts, static_cast<ComputeClass>(r.aux));
             break;
           case TraceOp::Branch:
-            core.doBranch(v.pc[i], EpochView::aux(head) & kAuxTaken);
+            core.doBranch(r.pc, r.aux & kAuxTaken);
             insts = 1;
             break;
           case TraceOp::LatchAcquire:
@@ -239,7 +231,7 @@ DepGraph::buildEpoch(const EpochTrace &e, EpochNode &node,
     std::uint32_t replay = 0;
     for (std::size_t i = 0; i < n; ++i) {
         node.prefixReplay[i] = replay;
-        const TraceOp op = EpochView::op(v.head[i]);
+        const TraceOp op = v.records[i].op;
         if (op == TraceOp::EscapeBegin)
             esc = true;
         if (!esc)

@@ -11,8 +11,8 @@
  * once per workload:
  *
  *  - nodes are trace records. Per epoch, one analytic replay pass over
- *    the packed EpochView streams (the same flat SoA layout the replay
- *    hot loop consumes) prices the program-order edges: records run
+ *    the epoch's EpochView (the same records and oracle flags the
+ *    replay hot loop reads) prices the program-order edges: records run
  *    through a real cpu/Core interval model — dispatch width, ROB and
  *    load-MLP overlap, unpipelined divide/sqrt, GShare-driven branch
  *    penalties — against a one-epoch line-reuse memory model (first

@@ -638,9 +638,9 @@ TlsMachine::stepCpu(CpuId cpu)
         return;
     }
 
-    const std::uint32_t head = v.head[run.cursor];
-    const TraceOp op = EpochView::op(head);
-    const Pc pc = v.pc[run.cursor];
+    const TraceRecord &r = v.records[run.cursor];
+    const TraceOp op = r.op;
+    const Pc pc = r.pc;
 
     // Instruction fetch for the record's code site.
     Cycle fr = mem_.ifetch(cpu, pc, core.now());
@@ -650,36 +650,25 @@ TlsMachine::stepCpu(CpuId cpu)
 
     switch (op) {
       case TraceOp::Load:
-      case TraceOp::Store: {
-        DecodedRec d{op,
-                     EpochView::aux(head),
-                     EpochView::sizeBytes(head),
-                     pc,
-                     v.memAddr(run.cursor),
-                     (head & EpochView::kConflictBit) != 0,
-                     (head & EpochView::kCoveredBit) != 0};
+      case TraceOp::Store:
         if (op == TraceOp::Load)
-            execLoad(run, d, spec);
+            execLoad(run, r, v.flags[run.cursor], spec);
         else
-            execStore(run, d, spec);
+            execStore(run, r, v.flags[run.cursor], spec);
         break;
-      }
-      case TraceOp::Compute: {
-        std::uint64_t insts = v.value(run.cursor);
-        core.doCompute(insts,
-                       static_cast<ComputeClass>(EpochView::aux(head)));
-        chargeRecord(run, insts);
+      case TraceOp::Compute:
+        core.doCompute(r.addr, static_cast<ComputeClass>(r.aux));
+        chargeRecord(run, r.addr);
         break;
-      }
       case TraceOp::Branch:
-        core.doBranch(pc, EpochView::aux(head) & kAuxTaken);
+        core.doBranch(pc, r.aux & kAuxTaken);
         chargeRecord(run, 1);
         break;
       case TraceOp::LatchAcquire:
-        execLatchAcquire(run, pc, v.value(run.cursor));
+        execLatchAcquire(run, pc, r.addr);
         break;
       case TraceOp::LatchRelease:
-        execLatchRelease(run, pc, v.value(run.cursor));
+        execLatchRelease(run, pc, r.addr);
         break;
       case TraceOp::EscapeBegin: {
         unsigned region =
@@ -747,7 +736,8 @@ TlsMachine::isOldest(const EpochRun &run) const
 }
 
 void
-TlsMachine::execLoad(EpochRun &run, const DecodedRec &d, bool spec)
+TlsMachine::execLoad(EpochRun &run, const TraceRecord &r,
+                     std::uint8_t flags, bool spec)
 {
     Core &core = cores_[run.cpu];
     // The oldest running epoch is non-speculative (Section 2.1: the
@@ -760,7 +750,7 @@ TlsMachine::execLoad(EpochRun &run, const DecodedRec &d, bool spec)
     // oldest and the value is guaranteed final. PC granularity makes
     // this grossly conservative, which is the paper's point.
     if (strack && cfg_.tls.useDependencePredictor &&
-        run.latchesHeld == 0 && predictedLoads_.count(d.pc)) {
+        run.latchesHeld == 0 && predictedLoads_.count(r.pc)) {
         // (Bypassed while holding a latch: an older epoch might be
         // waiting on it, and synchronizing here would deadlock.)
         ++stats_.predictorStalls;
@@ -768,54 +758,55 @@ TlsMachine::execLoad(EpochRun &run, const DecodedRec &d, bool spec)
         return; // record retried; progresses once oldest
     }
 
-    Cycle issue = core.prepareLoad(d.aux & kAuxDependent);
-    MemAccess res = mem_.load(run.cpu, d.addr, issue, strack);
+    Cycle issue = core.prepareLoad(r.aux & kAuxDependent);
+    MemAccess res = mem_.load(run.cpu, r.addr, issue, strack);
     if (res.overflow) {
         handleOverflow(run);
         return; // record retried after the overflow resolves
     }
     core.finishLoad(res.readyAt);
     if (strack) {
-        Addr line = mem_.geom().lineNum(d.addr);
+        Addr line = mem_.geom().lineNum(r.addr);
         if (oracleOn_) {
             // The pre-analysis already decided exposure: a covered
             // load changes no speculative state at all, an exposed
             // one sets its SL bit without the per-word SM merge.
-            if (!d.covered) {
+            if (!(flags & EpochView::kCovered)) {
                 spec_.recordLoadExposed(ctxId(run.cpu, run.curSub),
                                         line);
-                exposed_[run.cpu].record(line, d.pc);
+                exposed_[run.cpu].record(line, r.pc);
             }
         } else {
-            std::uint32_t wm = mem_.geom().wordMask(d.addr, d.size);
+            std::uint32_t wm = mem_.geom().wordMask(r.addr, r.size);
             bool exposed =
                 spec_.recordLoad(ctxId(run.cpu, run.curSub),
                                  threadMask(run.cpu, run.curSub),
                                  line, wm);
             if (exposed)
-                exposed_[run.cpu].record(line, d.pc);
+                exposed_[run.cpu].record(line, r.pc);
         }
         if (auditFull_) {
             refreshAuditView();
             audit_->onAccess(auditView_, run.cpu, line);
         }
     }
-    chargeRecord(run, d.aux >> kAuxInstShift);
+    chargeRecord(run, r.aux >> kAuxInstShift);
 }
 
 void
-TlsMachine::execStore(EpochRun &run, const DecodedRec &d, bool spec)
+TlsMachine::execStore(EpochRun &run, const TraceRecord &r,
+                      std::uint8_t flags, bool spec)
 {
     Core &core = cores_[run.cpu];
     bool strack = spec && specTracking_ && !isOldest(run);
-    MemAccess res = mem_.store(run.cpu, d.addr, core.now(), strack);
+    MemAccess res = mem_.store(run.cpu, r.addr, core.now(), strack);
     if (res.overflow) {
         handleOverflow(run);
         return;
     }
-    Addr line = mem_.geom().lineNum(d.addr);
+    Addr line = mem_.geom().lineNum(r.addr);
     if (strack) {
-        std::uint32_t wm = mem_.geom().wordMask(d.addr, d.size);
+        std::uint32_t wm = mem_.geom().wordMask(r.addr, r.size);
         spec_.recordStore(ctxId(run.cpu, run.curSub), line, wm);
         if (auditFull_) {
             refreshAuditView();
@@ -823,19 +814,19 @@ TlsMachine::execStore(EpochRun &run, const DecodedRec &d, bool spec)
         }
     }
     if (tlsActive_ && specTracking_ &&
-        (!oracleOn_ || d.conflict)) {
+        (!oracleOn_ || (flags & EpochView::kConflict))) {
         // Escaped stores are non-speculative but still produce values
         // that younger speculative readers must not have consumed.
         // With the oracle on, stores to non-conflict-candidate lines
         // skip this scan: the pre-analysis proved no younger epoch
         // ever reads the line, so no SL holder can exist.
         if (cfg_.tls.aggressiveUpdates || !strack)
-            checkViolations(run, line, d.pc);
+            checkViolations(run, line, r.pc);
         else
-            run.deferredChecks.emplace_back(line, d.pc);
+            run.deferredChecks.emplace_back(line, r.pc);
     }
     core.doStore(res.readyAt);
-    chargeRecord(run, d.aux >> kAuxInstShift);
+    chargeRecord(run, r.aux >> kAuxInstShift);
 }
 
 void

@@ -128,7 +128,7 @@ class TlsMachine : public TlsHooks
      * absent (or built from a different workload object), the machine
      * builds and keeps its own. Whether the analysis' *oracle bits*
      * are consulted is governed by TlsConfig::useConflictOracle; the
-     * packed replay layout is used either way.
+     * records are read through the index's views either way.
      */
     RunResult run(const WorkloadTrace &workload, ExecMode mode,
                   unsigned warmup_txns = 0,
@@ -178,7 +178,7 @@ class TlsMachine : public TlsHooks
     struct EpochRun
     {
         const EpochTrace *trace = nullptr;
-        const EpochView *view = nullptr; ///< packed replay streams
+        const EpochView *view = nullptr; ///< records + oracle flags
         std::uint64_t seq = 0; ///< global program order
         CpuId cpu = 0;
         std::uint32_t cursor = 0;
@@ -412,18 +412,6 @@ class TlsMachine : public TlsHooks
         std::size_t live_ = 0;  ///< slots written this generation
     };
 
-    /** One trace record decoded from the packed view streams. */
-    struct DecodedRec
-    {
-        TraceOp op;
-        std::uint16_t aux;
-        unsigned size;
-        Pc pc;
-        Addr addr;     ///< full memory address (Load/Store only)
-        bool conflict; ///< line is a conflict candidate
-        bool covered;  ///< load covered by own earlier stores
-    };
-
     // ----- helpers -----------------------------------------------------
 
     ContextId ctxId(CpuId cpu, unsigned sub) const
@@ -461,8 +449,11 @@ class TlsMachine : public TlsHooks
      */
     void stepCpuBatch(CpuId cpu, Cycle bound, int bound_idx);
 
-    void execLoad(EpochRun &run, const DecodedRec &d, bool spec);
-    void execStore(EpochRun &run, const DecodedRec &d, bool spec);
+    /** `flags` is the record's EpochView oracle byte. */
+    void execLoad(EpochRun &run, const TraceRecord &r,
+                  std::uint8_t flags, bool spec);
+    void execStore(EpochRun &run, const TraceRecord &r,
+                   std::uint8_t flags, bool spec);
     void execLatchAcquire(EpochRun &run, Pc pc, std::uint64_t latch_id);
     void execLatchRelease(EpochRun &run, Pc pc, std::uint64_t latch_id);
     void releaseLatch(std::uint64_t latch_id, Cycle at);

@@ -30,16 +30,62 @@ isMemOp(TraceOp op)
     return op == TraceOp::Load || op == TraceOp::Store;
 }
 
-/** Epochs of a workload in deterministic traversal order. */
-std::vector<const EpochTrace *>
-epochsInOrder(const WorkloadTrace &w)
+/**
+ * Running state of the risk-offset scan (EpochView::riskOffsets) over
+ * one epoch's records and flags. The machine's specInsts counts every
+ * non-escaped record; escape brackets charge nothing.
+ */
+class RiskScan
 {
-    std::vector<const EpochTrace *> out;
-    for (const TransactionTrace &txn : w.txns)
-        for (const TraceSection &sec : txn.sections)
-            for (const EpochTrace &e : sec.epochs)
-                out.push_back(&e);
-    return out;
+  public:
+    bool inEscape() const { return esc_; }
+
+    /** Account record `r` (flags `f`), appending its offset to `out`
+     *  if it is an exposed load of a conflict line. */
+    void
+    step(const TraceRecord &r, std::uint8_t f,
+         std::vector<std::uint32_t> &out)
+    {
+        if (!esc_ && r.op == TraceOp::Load &&
+            (f & (EpochView::kConflict | EpochView::kCovered)) ==
+                EpochView::kConflict &&
+            spec_ > 0) {
+            auto at = checkedNarrow<std::uint32_t>(spec_);
+            if (out.empty() || out.back() != at)
+                out.push_back(at);
+        }
+        if (r.op == TraceOp::EscapeBegin)
+            esc_ = true;
+        else if (r.op == TraceOp::EscapeEnd)
+            esc_ = false;
+        else if (!esc_)
+            spec_ += recordInsts(r);
+    }
+
+  private:
+    bool esc_ = false;
+    std::uint64_t spec_ = 0;
+};
+
+/**
+ * Fold one non-escaped access into its epoch's own-store word masks
+ * (`own` positions index `mask`). True iff it is a load those earlier
+ * stores already cover.
+ */
+bool
+coverStep(LineSet &own, std::vector<std::uint32_t> &mask, Addr line,
+          std::uint32_t wm, bool store)
+{
+    if (store) {
+        bool fresh = false;
+        std::uint32_t at = own.index(line, &fresh);
+        if (fresh)
+            mask.push_back(0);
+        mask[at] |= wm;
+        return false;
+    }
+    std::uint32_t at = own.index(line);
+    return at != LineSet::kAbsent && (wm & ~mask[at]) == 0;
 }
 
 template <typename T>
@@ -73,15 +119,22 @@ TraceIndex::TraceIndex(const WorkloadTrace &workload,
     if (!isPowerOf2(line_bytes))
         panic("TraceIndex: line size %u not a power of two",
               line_bytes);
+    for (const TransactionTrace &txn : workload.txns) {
+        for (const TraceSection &sec : txn.sections) {
+            for (const EpochTrace &e : sec.epochs) {
+                viewIdx_.emplace(
+                    &e, checkedNarrow<std::uint32_t>(views_.size()));
+                views_.emplace_back().records = e.records;
+            }
+        }
+    }
 }
 
 TraceIndex::TraceIndex(const WorkloadTrace &workload,
                        unsigned line_bytes)
     : TraceIndex(workload, line_bytes, PrivateTag{})
 {
-    EpochFlags flags;
-    analyse(flags);
-    pack(flags);
+    analyse();
     g_builds.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -100,9 +153,11 @@ TraceIndex::TraceIndex(const WorkloadTrace &workload,
  *     line. This static union equals the dynamic own-thread SM union
  *     the SpecState merge computes at that record, under any rewind /
  *     escape-skip / oldest-transition history (see traceindex.h).
+ *
+ * The same per-record pass collects each epoch's risk offsets.
  */
 void
-TraceIndex::analyse(EpochFlags &flags)
+TraceIndex::analyse()
 {
     const LineGeom geom(lineBytes_);
 
@@ -122,11 +177,12 @@ TraceIndex::analyse(EpochFlags &flags)
     LineSet own;
     std::vector<std::uint32_t> ownMask;
 
+    std::size_t vi = 0; // views_ follow the same traversal order
     for (const TransactionTrace &txn : source_->txns) {
         for (const TraceSection &sec : txn.sections) {
             if (!sec.parallel) {
                 for (const EpochTrace &e : sec.epochs)
-                    flags.emplace_back(e.records.size(), 0);
+                    views_[vi++].flags.assign(e.records.size(), 0);
                 continue;
             }
 
@@ -165,130 +221,32 @@ TraceIndex::analyse(EpochFlags &flags)
             maxSectionLines_ =
                 std::max(maxSectionLines_, lines.size());
 
-            // Pass 2: per-record flags.
+            // Pass 2: per-record flags and risk offsets.
             for (const EpochTrace &e : sec.epochs) {
-                flags.emplace_back(e.records.size(), 0);
-                std::vector<std::uint8_t> &f = flags.back();
+                EpochView &v = views_[vi++];
+                v.flags.assign(e.records.size(), 0);
                 own.clear();
                 ownMask.clear();
-                bool esc = false;
+                RiskScan scan;
                 for (std::size_t i = 0; i < e.records.size(); ++i) {
                     const TraceRecord &r = e.records[i];
-                    if (r.op == TraceOp::EscapeBegin) {
-                        esc = true;
-                        continue;
+                    if (isMemOp(r.op)) {
+                        Addr line = geom.lineNum(r.addr);
+                        const LineInfo &li = info[lines.index(line)];
+                        if (li.minStore != kNoEpochIdx &&
+                            li.lastEpoch > li.minStore)
+                            v.flags[i] |= EpochView::kConflict;
+                        // Escaped accesses never touch SM.
+                        if (!scan.inEscape() &&
+                            coverStep(own, ownMask, line,
+                                      geom.wordMask(r.addr, r.size),
+                                      r.op == TraceOp::Store))
+                            v.flags[i] |= EpochView::kCovered;
                     }
-                    if (r.op == TraceOp::EscapeEnd) {
-                        esc = false;
-                        continue;
-                    }
-                    if (!isMemOp(r.op))
-                        continue;
-                    Addr line = geom.lineNum(r.addr);
-                    const LineInfo &li = info[lines.index(line)];
-                    if (li.minStore != kNoEpochIdx &&
-                        li.lastEpoch > li.minStore)
-                        f[i] |= 1; // conflict candidate
-                    if (esc)
-                        continue;
-                    std::uint32_t wm = geom.wordMask(r.addr, r.size);
-                    if (r.op == TraceOp::Store) {
-                        bool fresh = false;
-                        std::uint32_t at = own.index(line, &fresh);
-                        if (fresh)
-                            ownMask.push_back(0);
-                        ownMask[at] |= wm;
-                    } else {
-                        std::uint32_t at = own.index(line);
-                        if (at != LineSet::kAbsent &&
-                            (wm & ~ownMask[at]) == 0)
-                            f[i] |= 2; // covered load
-                    }
+                    scan.step(r, v.flags[i], v.riskOffsets);
                 }
             }
         }
-    }
-}
-
-void
-TraceIndex::pack(const EpochFlags &flags)
-{
-    std::vector<const EpochTrace *> epochs = epochsInOrder(*source_);
-    if (flags.size() != epochs.size())
-        panic("TraceIndex: flag set covers %zu epochs, workload has "
-              "%zu",
-              flags.size(), epochs.size());
-
-    views_.resize(epochs.size());
-    viewIdx_.reserve(epochs.size());
-
-    for (std::size_t ei = 0; ei < epochs.size(); ++ei) {
-        const EpochTrace &e = *epochs[ei];
-        const std::vector<std::uint8_t> &f = flags[ei];
-        EpochView &v = views_[ei];
-        const std::size_t n = e.records.size();
-
-        std::uint64_t base = std::numeric_limits<std::uint64_t>::max();
-        for (const TraceRecord &r : e.records)
-            if (isMemOp(r.op))
-                base = std::min(base, r.addr);
-        v.addrBase =
-            base == std::numeric_limits<std::uint64_t>::max() ? 0
-                                                              : base;
-
-        v.head.resize(n);
-        v.pc.resize(n);
-        v.addr32.resize(n);
-        bool esc = false;
-        std::uint64_t spec = 0; // machine's specInsts before record i
-
-        for (std::size_t i = 0; i < n; ++i) {
-            const TraceRecord &r = e.records[i];
-            if (!esc && r.op == TraceOp::Load && (f[i] & 1) &&
-                !(f[i] & 2) && spec > 0 &&
-                (v.riskOffsets.empty() ||
-                 v.riskOffsets.back() !=
-                     checkedNarrow<std::uint32_t>(spec)))
-                v.riskOffsets.push_back(
-                    checkedNarrow<std::uint32_t>(spec));
-            if (r.size > EpochView::kSizeMask)
-                panic("TraceIndex: record size %u exceeds the packed "
-                      "head's 7-bit field",
-                      r.size);
-            // Widening packs: brace-init is narrowing-proof by
-            // language rule, so a future field growth fails to
-            // compile instead of silently truncating.
-            std::uint32_t head =
-                (static_cast<unsigned>(r.op) & EpochView::kOpMask) |
-                (std::uint32_t{r.size} << EpochView::kSizeShift) |
-                (std::uint32_t{r.aux} << EpochView::kAuxShift);
-            if (f[i] & 1)
-                head |= EpochView::kConflictBit;
-            if (f[i] & 2)
-                head |= EpochView::kCoveredBit;
-
-            std::uint64_t raw =
-                isMemOp(r.op) ? r.addr - v.addrBase : r.addr;
-            if (raw > std::numeric_limits<std::uint32_t>::max()) {
-                head |= EpochView::kWideBit;
-                v.addr32[i] =
-                    checkedNarrow<std::uint32_t>(v.wide.size());
-                v.wide.push_back(r.addr);
-            } else {
-                v.addr32[i] = checkedNarrow<std::uint32_t>(raw);
-            }
-            v.head[i] = head;
-            v.pc[i] = r.pc;
-
-            if (r.op == TraceOp::EscapeBegin) {
-                esc = true;
-            } else if (r.op == TraceOp::EscapeEnd) {
-                esc = false; // brackets charge no speculative insts
-            } else if (!esc) {
-                spec += recordInsts(r);
-            }
-        }
-        viewIdx_.emplace(&e, checkedNarrow<std::uint32_t>(ei));
     }
 }
 
@@ -318,14 +276,10 @@ TraceIndex::save(std::ostream &os) const
     put<std::uint64_t>(os, totals_.conflict);
     put<std::uint64_t>(os, maxSectionLines_);
     put<std::uint64_t>(os, views_.size());
-    std::vector<std::uint8_t> buf;
     for (const EpochView &v : views_) {
         put<std::uint64_t>(os, v.size());
-        buf.resize(v.size());
-        for (std::size_t i = 0; i < v.size(); ++i)
-            buf[i] = checkedNarrow<std::uint8_t>((v.head[i] >> 11) & 3);
-        os.write(reinterpret_cast<const char *>(buf.data()),
-                 static_cast<std::streamsize>(buf.size()));
+        os.write(reinterpret_cast<const char *>(v.flags.data()),
+                 static_cast<std::streamsize>(v.flags.size()));
     }
 }
 
@@ -351,35 +305,35 @@ TraceIndex::load(std::istream &is, const WorkloadTrace &workload,
         return nullptr;
     idx->maxSectionLines_ = static_cast<std::size_t>(msl);
 
-    std::vector<const EpochTrace *> epochs = epochsInOrder(workload);
-    if (epoch_count != epochs.size()) {
+    if (epoch_count != idx->views_.size()) {
         inform("trace index: epoch count %llu does not match the "
                "workload's %zu, rebuilding",
                static_cast<unsigned long long>(epoch_count),
-               epochs.size());
+               idx->views_.size());
         return nullptr;
     }
 
-    EpochFlags flags(epochs.size());
-    for (std::size_t ei = 0; ei < epochs.size(); ++ei) {
+    for (std::size_t ei = 0; ei < idx->views_.size(); ++ei) {
+        EpochView &v = idx->views_[ei];
         std::uint64_t n = 0;
-        if (!get(is, &n) || n != epochs[ei]->records.size()) {
+        if (!get(is, &n) || n != v.size()) {
             inform("trace index: record shape mismatch at epoch %zu, "
                    "rebuilding",
                    ei);
             return nullptr;
         }
-        flags[ei].resize(n);
-        is.read(reinterpret_cast<char *>(flags[ei].data()),
+        v.flags.resize(v.size());
+        is.read(reinterpret_cast<char *>(v.flags.data()),
                 static_cast<std::streamsize>(n));
         if (!is)
             return nullptr;
-        for (std::uint8_t b : flags[ei])
-            if (b & ~std::uint8_t{3})
+        RiskScan scan;
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (v.flags[i] & ~(EpochView::kConflict | EpochView::kCovered))
                 return nullptr;
+            scan.step(v.records[i], v.flags[i], v.riskOffsets);
+        }
     }
-
-    idx->pack(flags);
     return idx;
 }
 

@@ -25,11 +25,11 @@
  *    transition is absorbing — so the exposure decision the SpecState
  *    merge computes dynamically is precomputed here, bit-exact.
  *
- * The analysis also converts each epoch to a packed structure-of-arrays
- * EpochView (head/pc/addr32 streams with a per-epoch address base and a
- * wide-address escape table) so the replay loop streams 12 bytes per
- * record instead of a 16-byte TraceRecord, with the oracle bits decoded
- * from the same head word as the opcode.
+ * The answers are one flag byte per record (the same bytes the .idx
+ * file stores); the replay engine reads each record from the captured
+ * trace itself and its oracle bits from that column, so the index adds
+ * one byte per record to the trace it describes and never a second
+ * copy of it.
  *
  * The index is a pure acceleration structure: with the oracle enabled
  * or disabled (TlsConfig::useConflictOracle), every RunResult field is
@@ -42,46 +42,31 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "base/narrow.h"
 #include "base/types.h"
 #include "core/trace.h"
 
 namespace tlsim {
 
 /**
- * Packed structure-of-arrays view of one EpochTrace.
- *
- * head word layout (32 bits):
- *   [0:2]   op          TraceOp
- *   [3]     wide        addr32 is an index into `wide`
- *   [4:10]  size        access size in bytes (memory ops)
- *   [11]    conflict    line is a conflict candidate (memory ops)
- *   [12]    covered     load fully covered by own earlier stores
- *   [13:15] reserved
- *   [16:31] aux         the record's aux field
- *
- * addr32 holds, unless `wide` is set: addr - addrBase for Load/Store,
- * the raw addr field (compute count / latch id) otherwise.
+ * One epoch as the replay engine reads it: the captured records, one
+ * oracle flag byte per record, and the epoch's risk offsets.
  */
 struct EpochView
 {
-    static constexpr std::uint32_t kOpMask = 0x7;
-    static constexpr std::uint32_t kWideBit = 1u << 3;
-    static constexpr unsigned kSizeShift = 4;
-    static constexpr std::uint32_t kSizeMask = 0x7F;
-    static constexpr std::uint32_t kConflictBit = 1u << 11;
-    static constexpr std::uint32_t kCoveredBit = 1u << 12;
-    static constexpr unsigned kAuxShift = 16;
+    /** Flag bit: the record's line is a conflict candidate
+     *  (Load/Store only). */
+    static constexpr std::uint8_t kConflict = 1;
+    /** Flag bit: the load is covered by the epoch's own earlier
+     *  non-escaped stores. */
+    static constexpr std::uint8_t kCovered = 2;
 
-    std::vector<std::uint32_t> head;
-    std::vector<Pc> pc;
-    std::vector<std::uint32_t> addr32;
-    std::vector<std::uint64_t> wide; ///< out-of-range address table
-    std::uint64_t addrBase = 0;      ///< subtracted from memory addrs
+    std::span<const TraceRecord> records; ///< the source epoch's own
+    std::vector<std::uint8_t> flags;      ///< one per record
 
     /**
      * Risk offsets: the speculative-instruction counts at which this
@@ -94,35 +79,7 @@ struct EpochView
      */
     std::vector<std::uint32_t> riskOffsets;
 
-    std::size_t size() const { return head.size(); }
-
-    static TraceOp op(std::uint32_t h)
-    {
-        return static_cast<TraceOp>(h & kOpMask);
-    }
-    static unsigned sizeBytes(std::uint32_t h)
-    {
-        return (h >> kSizeShift) & kSizeMask;
-    }
-    static std::uint16_t aux(std::uint32_t h)
-    {
-        // Always in range (16 payload bits above kAuxShift); the
-        // check folds away, and T3 keeps the cast honest.
-        return checkedNarrow<std::uint16_t>(h >> kAuxShift);
-    }
-
-    /** Full address of memory record `i` (op Load/Store). */
-    Addr memAddr(std::size_t i) const
-    {
-        std::uint32_t h = head[i];
-        return h & kWideBit ? wide[addr32[i]] : addrBase + addr32[i];
-    }
-
-    /** Raw addr field of non-memory record `i` (count / latch id). */
-    std::uint64_t value(std::size_t i) const
-    {
-        return head[i] & kWideBit ? wide[addr32[i]] : addr32[i];
-    }
+    std::size_t size() const { return records.size(); }
 };
 
 /**
@@ -215,16 +172,12 @@ class TraceIndex
     {
     };
 
-    /** Shared layout setup; flags are filled by analyse() or load(). */
+    /** One view per epoch, in workload traversal order; flags and
+     *  risk offsets are filled by analyse() or load(). */
     TraceIndex(const WorkloadTrace &workload, unsigned line_bytes,
                PrivateTag);
 
-    /** One byte per record: bit0 conflict line, bit1 covered load.
-     *  Outer index: epochs in workload traversal order. */
-    using EpochFlags = std::vector<std::vector<std::uint8_t>>;
-
-    void analyse(EpochFlags &flags);
-    void pack(const EpochFlags &flags);
+    void analyse();
 
     const WorkloadTrace *source_;
     const TransactionTrace *sourceTxns_; ///< source_->txns.data() at build

@@ -1,7 +1,6 @@
 #include "core/tracer.h"
 
 #include "base/log.h"
-#include "base/stats.h"
 #include "core/site.h"
 
 namespace tlsim {
@@ -76,18 +75,9 @@ Tracer::openEpoch(bool add_spawn_overhead)
 {
     auto &sec = workload_.txns.back().sections.back();
     sec.epochs.emplace_back();
-    // Epochs run hundreds of records; seed from the arena when it has
-    // a salvaged buffer, else pre-size to skip the early doubling
-    // reallocations on the capture hot path.
-    ++captureEpochs_;
-    if (spareRecords_.capacity() >= kRecordsReserve) {
-        spareRecords_.clear();
-        sec.epochs.back().records = std::move(spareRecords_);
-        spareRecords_ = std::vector<TraceRecord>{};
-        ++captureBufReuses_;
-    } else {
-        sec.epochs.back().records.reserve(kRecordsReserve);
-    }
+    // Epochs run hundreds of records; pre-size to skip the early
+    // doubling reallocations on the capture hot path.
+    sec.epochs.back().records.reserve(kRecordsReserve);
     if (add_spawn_overhead && opts_.parallelMode &&
         opts_.spawnOverheadInsts > 0) {
         static const Site spawn_site("tls.spawn_epoch");
@@ -136,16 +126,11 @@ Tracer::txnEnd()
     if (escapeDepth_ != 0)
         panic("txnEnd inside an escaped region");
     closeEpoch();
-    // Drop empty trailing/intermediate sequential sections, salvaging
-    // the largest record buffer for the arena.
+    // Drop empty trailing/intermediate sequential sections.
     auto &txn = workload_.txns.back();
-    std::erase_if(txn.sections, [this](TraceSection &s) {
-        bool drop = !s.parallel && s.epochs.size() == 1 &&
-                    s.epochs[0].records.empty();
-        if (drop && s.epochs[0].records.capacity() >
-                        spareRecords_.capacity())
-            spareRecords_ = std::move(s.epochs[0].records);
-        return drop;
+    std::erase_if(txn.sections, [](const TraceSection &s) {
+        return !s.parallel && s.epochs.size() == 1 &&
+               s.epochs[0].records.empty();
     });
     capturing_ = false;
 }
@@ -255,11 +240,6 @@ Tracer::takeWorkload()
     inLoop_ = false;
     pendingLoop_ = false;
     escapeDepth_ = 0;
-    auto &gc = stats::GlobalCounters::instance();
-    gc.add("replay.captureEpochs", captureEpochs_);
-    gc.add("replay.captureBufReuses", captureBufReuses_);
-    captureEpochs_ = 0;
-    captureBufReuses_ = 0;
     return out;
 }
 

@@ -130,18 +130,6 @@ class Tracer
     LineGeom geom_;
     WorkloadTrace workload_;
 
-    /**
-     * Record-buffer arena: the capacity salvaged from sections that
-     * txnEnd() drops (every transaction opens a trailing sequential
-     * section that usually stays empty) seeds the next epoch's record
-     * vector, so steady-state capture recycles one buffer per epoch
-     * instead of growing a fresh one. Tallies flush to the
-     * "replay.*" global counter group in takeWorkload().
-     */
-    std::vector<TraceRecord> spareRecords_;
-    std::uint64_t captureEpochs_ = 0;
-    std::uint64_t captureBufReuses_ = 0;
-
     bool capturing_ = false;  ///< inside txnBegin/txnEnd
     bool inLoop_ = false;     ///< inside a marked parallel loop
     bool pendingLoop_ = false;///< loopBegin seen, first iterBegin not yet

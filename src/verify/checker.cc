@@ -202,15 +202,13 @@ diffAgainstIndex(const CheckResult &chk, const TraceIndex &index,
                     continue;
                 }
                 for (std::size_t i = 0; i < f.size(); ++i) {
-                    // Head bits 11 (conflict) and 12 (covered) are the
-                    // oracle the replay hot path trusts.
-                    auto idx_bits = static_cast<std::uint8_t>(
-                        (v->head[i] >> 11) & 3);
-                    if (idx_bits != f[i])
+                    // The flag byte is the oracle the replay hot path
+                    // trusts.
+                    if (v->flags[i] != f[i])
                         capped(errors,
                                strfmt("epoch %zu record %zu: index "
                                       "bits %u, checker bits %u",
-                                      ei, i, idx_bits, f[i]));
+                                      ei, i, v->flags[i], f[i]));
                 }
                 ++ei;
             }

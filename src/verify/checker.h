@@ -6,8 +6,8 @@
  * algorithm — no caches, no timing, no oracle, none of the simulator's
  * data structures — and independently computes, per parallel section:
  *
- *  - the per-record conflict / covered-load classification (the bits
- *    the TraceIndex oracle bakes into the packed replay stream);
+ *  - the per-record conflict / covered-load classification (the
+ *    TraceIndex oracle's flag bytes, EpochView::flags);
  *  - the RAW-violation candidate set: lines an earlier epoch stores
  *    and a later epoch reads with an *exposed* load (one not covered
  *    by the reader's own earlier stores);

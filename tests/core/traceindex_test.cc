@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "base/addr.h"
@@ -130,9 +131,8 @@ TEST(TraceIndex, CoveredBitTracksOwnEarlierStores)
 
     std::vector<bool> covered;
     for (std::size_t i = 0; i < v->size(); ++i) {
-        if (EpochView::op(v->head[i]) == TraceOp::Load)
-            covered.push_back(
-                (v->head[i] & EpochView::kCoveredBit) != 0);
+        if (v->records[i].op == TraceOp::Load)
+            covered.push_back((v->flags[i] & EpochView::kCovered) != 0);
     }
     ASSERT_EQ(covered.size(), 3u);
     EXPECT_FALSE(covered[0]);
@@ -140,7 +140,7 @@ TEST(TraceIndex, CoveredBitTracksOwnEarlierStores)
     EXPECT_FALSE(covered[2]);
 }
 
-TEST(TraceIndex, PackedViewRoundTripsEveryRecord)
+TEST(TraceIndex, ViewReadsTheCapturedRecords)
 {
     IndexBuilder b;
     auto body = [&b](Tracer &t) {
@@ -157,25 +157,22 @@ TEST(TraceIndex, PackedViewRoundTripsEveryRecord)
     };
     auto w = b.loopTxn({body, body});
 
+    // The view is the captured records themselves (no copy) plus one
+    // flag byte per record, set only on memory records.
     TraceIndex idx(w, kLineBytes);
     for (const auto &txn : w.txns) {
         for (const auto &sec : txn.sections) {
             for (const auto &e : sec.epochs) {
                 const EpochView *v = idx.viewOf(&e);
                 ASSERT_NE(v, nullptr);
+                EXPECT_EQ(v->records.data(), e.records.data());
                 ASSERT_EQ(v->size(), e.records.size());
+                ASSERT_EQ(v->flags.size(), e.records.size());
                 for (std::size_t i = 0; i < e.records.size(); ++i) {
-                    const TraceRecord &r = e.records[i];
-                    std::uint32_t h = v->head[i];
-                    EXPECT_EQ(EpochView::op(h), r.op);
-                    EXPECT_EQ(EpochView::sizeBytes(h), r.size);
-                    EXPECT_EQ(EpochView::aux(h), r.aux);
-                    EXPECT_EQ(v->pc[i], r.pc);
-                    if (r.op == TraceOp::Load ||
-                        r.op == TraceOp::Store)
-                        EXPECT_EQ(v->memAddr(i), r.addr);
-                    else
-                        EXPECT_EQ(v->value(i), r.addr);
+                    TraceOp op = e.records[i].op;
+                    if (op != TraceOp::Load && op != TraceOp::Store) {
+                        EXPECT_EQ(v->flags[i], 0u);
+                    }
                 }
             }
         }
@@ -233,11 +230,8 @@ TEST(TraceIndex, SaveLoadRoundTripsAnalysis)
             for (const auto &e : sec.epochs) {
                 const EpochView *a = idx.viewOf(&e);
                 const EpochView *l = loaded->viewOf(&e);
-                EXPECT_EQ(a->head, l->head);
-                EXPECT_EQ(a->pc, l->pc);
-                EXPECT_EQ(a->addr32, l->addr32);
-                EXPECT_EQ(a->wide, l->wide);
-                EXPECT_EQ(a->addrBase, l->addrBase);
+                EXPECT_EQ(l->records.data(), e.records.data());
+                EXPECT_EQ(a->flags, l->flags);
                 EXPECT_EQ(a->riskOffsets, l->riskOffsets);
             }
         }
@@ -265,6 +259,21 @@ TEST(TraceIndex, LoadRejectsMismatchedLineSizeAndShape)
 
     std::stringstream junk("not an index");
     EXPECT_EQ(TraceIndex::load(junk, w, kLineBytes), nullptr);
+}
+
+TEST(TraceIndex, LoadRejectsUnknownFlagBits)
+{
+    IndexBuilder b;
+    auto w = b.loopTxn({[&b](Tracer &t) {
+        t.store(b.pc(), b.addr(word(2)), 8);
+    }});
+    TraceIndex idx(w, kLineBytes);
+    std::stringstream ss;
+    idx.save(ss);
+    std::string bytes = ss.str();
+    bytes.back() = 4; // the last record's flag byte: bit 2 is unused
+    std::stringstream bad(bytes);
+    EXPECT_EQ(TraceIndex::load(bad, w, kLineBytes), nullptr);
 }
 
 TEST(TraceIndex, ViewOfForeignEpochDies)

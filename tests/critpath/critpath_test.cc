@@ -291,6 +291,15 @@ TEST(CritpathPlacement, RiskOffsetsMarkExposedConflictLoads)
     // the planted one, early in its body.
     EXPECT_TRUE(wv->riskOffsets.empty());
     ASSERT_EQ(rv->riskOffsets.size(), 1u);
+    // ...whose flag byte marks a conflict line and no cover.
+    std::size_t loads = 0;
+    for (std::size_t i = 0; i < rv->size(); ++i) {
+        if (rv->records[i].op != TraceOp::Load)
+            continue;
+        ++loads;
+        EXPECT_EQ(rv->flags[i], EpochView::kConflict);
+    }
+    EXPECT_EQ(loads, 1u);
     EXPECT_GT(rv->riskOffsets[0], 0u);
     EXPECT_LT(rv->riskOffsets[0], 1000u);
 

@@ -371,8 +371,8 @@ TEST(CheckerMutation, IndexBitDisagreementIsCaught)
     bool flipped = false;
     for (auto &flags : chk.epochFlags) {
         for (auto &f : flags) {
-            if (f & 1) {
-                f = static_cast<std::uint8_t>(f & ~1u);
+            if (f & EpochView::kConflict) {
+                f = static_cast<std::uint8_t>(f & ~EpochView::kConflict);
                 flipped = true;
                 break;
             }
