@@ -3,12 +3,12 @@
  * Canonical result hashing for the determinism probe (--det-probe).
  *
  * The repo's load-bearing guarantee is byte-identical output under
- * --jobs=N, pipelining, and SIMD dispatch. The probe turns that from
+ * --jobs=N and SIMD dispatch. The probe turns that from
  * "observed on a few golden benches" into a per-stage digest: each
  * bench hashes its canonical result stream after every stage
  * (capture, replay, aggregate, serialize) and emits the digests in
  * the `determinism` bench-JSON block, which the `det` ctest label
- * compares across --jobs=1/N, --force-scalar and pipelined runs.
+ * compares across --jobs=1/N and --force-scalar runs.
  *
  * Encodings are fixed, not host-dependent: integers hash as 8
  * little-endian bytes, doubles as their IEEE-754 bit pattern with

@@ -1,17 +1,52 @@
 #include "db/bufferpool.h"
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 
 #include "base/log.h"
+#include "base/poison.h"
+#include "base/stats.h"
 #include "core/site.h"
 #include "db/costs.h"
 
 namespace tlsim {
 namespace db {
+
+namespace {
+
+/**
+ * Give the memory of [lo, hi) back to the OS; the span reads as zeros
+ * afterwards. A poison build scribbles it instead, so a Page view held
+ * across a spill reads the canary, not zeros that look like an empty
+ * page (readImagePage overwrites it on the next touch).
+ */
+void
+releaseSpan(std::uint8_t *lo, std::uint8_t *hi)
+{
+#if TLSIM_POISON
+    for (std::uint8_t *p = lo; p + sizeof(poison::kU64) <= hi;
+         p += sizeof(poison::kU64))
+        std::memcpy(p, &poison::kU64, sizeof(poison::kU64));
+#else
+    // A chunk's heap block need not be page-aligned: give back the
+    // host pages that lie wholly inside the span. A failure only
+    // leaves them resident.
+    static const std::size_t host_page =
+        static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    void *start = lo;
+    std::size_t span = static_cast<std::size_t>(hi - lo);
+    if (std::align(host_page, host_page, start, span))
+        ::madvise(start, span / host_page * host_page, MADV_DONTNEED);
+#endif
+}
+
+} // namespace
 
 BufferPool::BufferPool(const DbConfig &cfg, Tracer &tracer)
     : cfg_(cfg), tr_(tracer), buckets_(4096, 0)
@@ -22,12 +57,28 @@ BufferPool::~BufferPool()
 {
     if (imageFd_ >= 0)
         ::close(imageFd_);
+    flushImageReads();
+    // Give the frames' memory back before freeing it: a chunk that the
+    // allocator carved from its heap, rather than mapping it, would
+    // otherwise stay resident until the heap reused it.
+    for (Chunk &c : chunks_)
+        if (c.mem)
+            releaseSpan(c.mem.get(), c.mem.get() + kChunkBytes);
+}
+
+void
+BufferPool::flushImageReads()
+{
+    if (readSinceSpill_)
+        stats::GlobalCounters::instance().add("dbpool.imageReads",
+                                              readSinceSpill_);
+    readSinceSpill_ = 0;
 }
 
 void
 BufferPool::attachImage(int fd, PageId pages)
 {
-    if (nextPage_ != 1 || imageFd_ >= 0)
+    if ((pages && nextPage_ != 1) || imageFd_ >= 0)
         panic("buffer pool: image attached to a non-empty pool");
     if (pages > cfg_.maxPages)
         panic("buffer pool: image of %u pages exceeds %u frames", pages,
@@ -35,21 +86,60 @@ BufferPool::attachImage(int fd, PageId pages)
     imageFd_ = fd;
     imagePages_ = pages;
     imageRead_.assign(static_cast<std::size_t>(pages) + 1, false);
-    nextPage_ = pages + 1;
+    nextPage_ += pages;
 }
 
-bool
-BufferPool::writeFrames(std::FILE *f)
+void
+BufferPool::spill()
 {
-    // Chunk by chunk: the frames of one chunk are contiguous.
+    if (imageFd_ < 0)
+        return;
     for (PageId first = 1; first < nextPage_; first += kPagesPerChunk) {
-        PageId n = std::min<PageId>(kPagesPerChunk, nextPage_ - first);
-        for (PageId pid = first; pid < first + n; ++pid)
-            frameAddr(pid);
-        if (std::fwrite(frameAddr(first), kPageSize, n, f) != n)
-            return false;
+        const PageId end = std::min<PageId>(first + kPagesPerChunk,
+                                            nextPage_);
+        bool wrote = false;
+        // One write per run of resident frames (contiguous in a chunk).
+        for (PageId pid = first; pid < end;) {
+            if (!resident(pid)) {
+                ++pid;
+                continue;
+            }
+            const PageId run = pid;
+            while (pid < end && resident(pid))
+                ++pid;
+            writeImagePages(run, pid - run);
+            wrote = true;
+        }
+        if (wrote) {
+            std::uint8_t *lo = frameOf(first - 1);
+            releaseSpan(lo, lo + static_cast<std::size_t>(end - first) *
+                                     kPageSize);
+        }
     }
-    return true;
+    if (std::uint64_t n = residentPages())
+        stats::GlobalCounters::instance().add("dbpool.spilledPages", n);
+    flushImageReads();
+    imagePages_ = nextPage_ - 1;
+    imageRead_.assign(static_cast<std::size_t>(imagePages_) + 1, false);
+}
+
+void
+BufferPool::writeImagePages(PageId first, PageId n)
+{
+    const std::uint8_t *src = frameOf(first - 1);
+    const std::size_t bytes = static_cast<std::size_t>(n) * kPageSize;
+    const off_t base = static_cast<off_t>(first) * kPageSize;
+    std::size_t done = 0;
+    while (done < bytes) {
+        ssize_t w = ::pwrite(imageFd_, src + done, bytes - done,
+                             base + static_cast<off_t>(done));
+        if (w < 0 && errno == EINTR)
+            continue;
+        if (w <= 0)
+            fatal("database image: cannot write page %u: %s", first,
+                  w == 0 ? "no progress" : std::strerror(errno));
+        done += static_cast<std::size_t>(w);
+    }
 }
 
 std::uint8_t *
@@ -96,6 +186,7 @@ BufferPool::readImagePage(PageId pid, std::uint8_t *frame)
         done += static_cast<std::size_t>(n);
     }
     imageRead_[pid] = true;
+    ++readSinceSpill_;
 }
 
 PageId

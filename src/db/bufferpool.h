@@ -12,14 +12,16 @@
  * database image (attachImage) starts out holding the image's pages
  * without reading any of them: a page is read from the image into its
  * frame the first time it is touched, so a capture pays only for the
- * pages its transactions visit.
+ * pages its transactions visit. A pool attached to a writable image
+ * can also spill(): every page it holds goes out to the image and its
+ * memory back to the OS, to be read back on its next touch. A pool
+ * being destroyed hands its frames' memory back before freeing it.
  */
 
 #ifndef DB_BUFFERPOOL_H
 #define DB_BUFFERPOOL_H
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -43,15 +45,26 @@ class BufferPool
     /**
      * Take pages 1..`pages` from an image file open as `fd` (the pool
      * owns it from now on): page p is the kPageSize bytes at offset
-     * p * kPageSize. Requires an empty pool.
+     * p * kPageSize. Requires an empty pool, unless `pages` is 0:
+     * then the image is still to be written, and spill() writes the
+     * pool's pages to it, those it holds now and those it allocates.
      */
     void attachImage(int fd, PageId pages);
 
     /**
-     * Write frames 1..pagesAllocated() to `f` back to back, in page
-     * order. False on a write error.
+     * Write every page held in memory to the attached image (which
+     * must be open for writing) and hand the frames' memory back to
+     * the OS; each page is read back into the same frame on its next
+     * touch, so frame addresses never change. Call it only while no
+     * Page view is live. A no-op without an attached image.
      */
-    bool writeFrames(std::FILE *f);
+    void spill();
+
+    /** Pages whose bytes are held in memory (not only in the image). */
+    std::uint64_t residentPages() const
+    {
+        return nextPage_ - 1 - imagePages_ + readSinceSpill_;
+    }
 
     /** Allocate and format a fresh page. */
     PageId allocPage(std::uint8_t level);
@@ -62,7 +75,7 @@ class BufferPool
      */
     Page fetch(PageId pid, bool dependent = false);
 
-    /** Unpin (cost accounting only; frames never leave memory). */
+    /** Unpin (cost accounting only; the modelled pool never evicts). */
     void unpin(PageId pid);
 
     /**
@@ -90,6 +103,19 @@ class BufferPool
     /** Read image page `pid` into `frame` (its first touch). */
     void readImagePage(PageId pid, std::uint8_t *frame);
 
+    /** Write the `n` frames of pages first..first+n-1 (one chunk) to
+     *  the image. */
+    void writeImagePages(PageId first, PageId n);
+
+    /** Add readSinceSpill_ to the stats counter and zero it. */
+    void flushImageReads();
+
+    /** Whether page `pid`'s bytes are held in its frame. */
+    bool resident(PageId pid) const
+    {
+        return pid > imagePages_ || imageRead_[pid];
+    }
+
     const DbConfig &cfg_;
     Tracer &tr_;
 
@@ -98,6 +124,13 @@ class BufferPool
 
     int imageFd_ = -1;
     PageId imagePages_ = 0;
+    /**
+     * Image pages read since the last spill (or attach); added to the
+     * "dbpool.imageReads" counter at each spill and on destruction.
+     * It fills the padding after imagePages_: the pool's size and the
+     * offset of the traced lruHead_ stay as they were.
+     */
+    PageId readSinceSpill_ = 0;
     /** Image pages already read, indexed by page id. */
     std::vector<bool> imageRead_;
 

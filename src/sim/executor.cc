@@ -177,104 +177,5 @@ SimExecutor::parallelFor(std::size_t n,
         std::rethrow_exception(err);
 }
 
-void
-SimExecutor::pipeline(std::size_t n,
-                      const std::function<void(std::size_t)> &produce,
-                      const std::function<void(std::size_t)> &consume,
-                      std::size_t window)
-{
-    if (window == 0)
-        window = 1;
-    if (jobs_ == 1 || n <= 1) {
-        // The reference serial loop; the threaded path below runs the
-        // same two sequences, only overlapped in wall time.
-        for (std::size_t i = 0; i < n; ++i) {
-            produce(i);
-            consume(i);
-        }
-        return;
-    }
-
-    {
-        MutexLock lk(mtx_);
-        if (batchOpen_)
-            panic("SimExecutor::pipeline inside an open batch");
-        batchOpen_ = true;
-    }
-    {
-        MutexLock lk(pipeMtx_);
-        pipeProduced_ = 0;
-        pipeConsumed_ = 0;
-        pipeError_ = nullptr;
-    }
-
-    // Producer: the decode stage, strictly in index order, at most
-    // `window` items ahead of the consumer.
-    std::thread producer([&] {
-        for (std::size_t i = 0; i < n; ++i) {
-            {
-                UniqueLock lk(pipeMtx_);
-                while (pipeConsumed_ + window <= i && !pipeError_)
-                    pipeCv_.wait(lk);
-                if (pipeError_)
-                    return;
-            }
-            try {
-                produce(i);
-            } catch (...) {
-                UniqueLock lk(pipeMtx_);
-                if (!pipeError_)
-                    pipeError_ = std::current_exception();
-                pipeCv_.notify_all();
-                return;
-            }
-            UniqueLock lk(pipeMtx_);
-            pipeProduced_ = i + 1;
-            pipeCv_.notify_all();
-        }
-    });
-
-    // Consumer: the replay stage, in index order on the caller.
-    for (std::size_t i = 0; i < n; ++i) {
-        bool stop = false;
-        {
-            UniqueLock lk(pipeMtx_);
-            while (pipeProduced_ <= i && !pipeError_)
-                pipeCv_.wait(lk);
-            stop = pipeError_ != nullptr;
-        }
-        if (stop)
-            break;
-        try {
-            consume(i);
-        } catch (...) {
-            UniqueLock lk(pipeMtx_);
-            if (!pipeError_)
-                pipeError_ = std::current_exception();
-            pipeCv_.notify_all();
-            break;
-        }
-        UniqueLock lk(pipeMtx_);
-        pipeConsumed_ = i + 1;
-        pipeCv_.notify_all();
-    }
-    producer.join();
-
-    std::exception_ptr err;
-    {
-        MutexLock lk(pipeMtx_);
-        err = pipeError_;
-        pipeError_ = nullptr;
-    }
-    {
-        MutexLock lk(mtx_);
-        batchOpen_ = false;
-    }
-    stats::GlobalCounters::instance().add("executor.pipelines");
-    stats::GlobalCounters::instance().add("executor.pipelineTasks", n);
-    if (err)
-        std::rethrow_exception(err);
-}
-
 } // namespace sim
 } // namespace tlsim

@@ -78,27 +78,6 @@ class SimExecutor
         return out;
     }
 
-    /**
-     * Two-stage pipeline over n items: produce(i) runs strictly in
-     * index order on a dedicated producer thread, consume(i) runs
-     * strictly in index order on the caller, and produce may run at
-     * most `window` items ahead of consume (the bounded prefetch
-     * queue). Made for decode-ahead-of-replay: trace capture/decode
-     * stages must execute in index order anyway (site-name interning
-     * is order-dependent), so only their overlap with the replay
-     * stage changes — both stages see the exact sequence the serial
-     *     for i: produce(i); consume(i);
-     * loop would run, and the output is byte-identical to it. With
-     * jobs == 1 (or n <= 1) that serial loop is exactly what runs —
-     * no threads, no locks. The first exception from either stage
-     * drains the pipeline and is rethrown on the caller. Not
-     * reentrant with parallelFor or itself (same batch claim).
-     */
-    void pipeline(std::size_t n,
-                  const std::function<void(std::size_t)> &produce,
-                  const std::function<void(std::size_t)> &consume,
-                  std::size_t window = 2);
-
     /** Picked-up value of --jobs=0 on this host. */
     static unsigned hardwareJobs();
 
@@ -182,15 +161,6 @@ class SimExecutor
     std::uint64_t batchId_ TLSIM_GUARDED_BY(mtx_) = 0;
     std::exception_ptr firstError_ TLSIM_GUARDED_BY(mtx_);
     bool shutdown_ TLSIM_GUARDED_BY(mtx_) = false;
-
-    /** Pipeline hand-off (pipeline() only): producer/consumer cursors
-     *  and the first error, guarded by their own mutex so the batch
-     *  lock never crosses a stage boundary. */
-    Mutex pipeMtx_;
-    CondVar pipeCv_;
-    std::size_t pipeProduced_ TLSIM_GUARDED_BY(pipeMtx_) = 0;
-    std::size_t pipeConsumed_ TLSIM_GUARDED_BY(pipeMtx_) = 0;
-    std::exception_ptr pipeError_ TLSIM_GUARDED_BY(pipeMtx_);
 };
 
 } // namespace sim

@@ -198,37 +198,42 @@ TpccDb::TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg,
     stockSeenStamps_.assign(cfg_.items + 1, 0);
 }
 
-void
-TpccDb::saveImage(const std::string &path)
+std::unique_ptr<TpccDb>
+TpccDb::createImage(const std::string &path, const TpccConfig &cfg,
+                    db::DbConfig db_cfg, Tracer &tracer,
+                    std::uint64_t load_seed)
 {
-    if (!loadSeed_)
-        panic("database image %s: the database was never loaded",
-              path.c_str());
+    auto tdb = std::make_unique<TpccDb>(cfg, std::move(db_cfg), tracer);
+    std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    int fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                    0666);
+    if (fd < 0)
+        fatal("cannot write database image %s", tmp.c_str());
+    db::BufferPool &pool = tdb->db_.pool();
+    pool.attachImage(fd, 0); // the pool owns fd from here
+    tdb->load(load_seed);    // ends with a spill: every page is written
+
     ImageHeader h;
-    auto id = ImageHeader::identity(cfg_, *loadSeed_);
+    auto id = ImageHeader::identity(cfg, load_seed);
     std::copy(id.begin(), id.end(), h.w.begin());
-    h.w[8] = historySeq_;
-    h.w[9] = db_.pool().pagesAllocated();
+    h.w[8] = tdb->historySeq_;
+    h.w[9] = pool.pagesAllocated();
     h.w[10] = kTableCount;
     for (std::size_t t = 0; t < kTableCount; ++t) {
-        const db::BTree &tree = db_.table(static_cast<db::TableId>(t));
+        const db::BTree &tree =
+            tdb->db_.table(static_cast<db::TableId>(t));
         h.w[11 + 2 * t] = tree.root();
         h.w[12 + 2 * t] = tree.size();
     }
     std::array<std::uint8_t, db::kPageSize> first{};
     std::memcpy(first.data(), h.w.data(), sizeof(h.w));
-
-    std::string tmp = path + ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        fatal("cannot write database image %s", tmp.c_str());
-    bool ok = std::fwrite(first.data(), first.size(), 1, f) == 1 &&
-              db_.pool().writeFrames(f);
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    if (::pwrite(fd, first.data(), first.size(), 0) !=
+            static_cast<ssize_t>(first.size()) ||
+        std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         fatal("error writing database image %s", path.c_str());
     }
+    return tdb;
 }
 
 std::unique_ptr<TpccDb>
@@ -305,6 +310,7 @@ TpccDb::load(std::uint64_t seed)
         fillString(rng, r.data, sizeof(r.data));
         db_.table(t_.item).put(kItem(i), toBytes(r), false);
     }
+    db_.pool().spill();
 
     // WAREHOUSE (single warehouse, as in the paper)
     {
@@ -329,6 +335,7 @@ TpccDb::load(std::uint64_t seed)
         fillString(rng, r.data, sizeof(r.data));
         db_.table(t_.stock).put(kStock(i), toBytes(r), false);
     }
+    db_.pool().spill();
 
     // DISTRICT / CUSTOMER / ORDER history
     for (std::uint32_t d = 1; d <= cfg_.districts; ++d) {
@@ -442,6 +449,7 @@ TpccDb::load(std::uint64_t seed)
                     .put(kNewOrder(d, o), toBytes(nr), false);
             }
         }
+        db_.pool().spill();
     }
 }
 
@@ -577,10 +585,8 @@ imageDatabase(const CaptureOptions &opts, const db::DbConfig &dbc,
         return opened;
     }
     gc.add("dbimage.create");
-    auto tdb = std::make_unique<TpccDb>(opts.scale, dbc, tracer);
-    tdb->load(opts.loadSeed);
-    tdb->saveImage(opts.dbImage);
-    return tdb;
+    return TpccDb::createImage(opts.dbImage, opts.scale, dbc, tracer,
+                               opts.loadSeed);
 }
 
 WorkloadTrace

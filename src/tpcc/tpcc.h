@@ -45,7 +45,7 @@ const char *txnTypeName(TxnType t);
 const std::vector<TxnType> &allBenchmarks();
 
 /**
- * Format version of database images (TpccDb::saveImage). Bump it
+ * Format version of database images (TpccDb::createImage). Bump it
  * whenever TpccDb::load, the row layouts or the page layout change:
  * an image is trusted to equal a fresh load byte for byte.
  */
@@ -58,20 +58,31 @@ class TpccDb
     /** An empty database (every table a single empty leaf). */
     TpccDb(const TpccConfig &cfg, db::DbConfig db_cfg, Tracer &tracer);
 
-    /** Initial population per clause 4.3 (run before capturing). */
+    /**
+     * Initial population per clause 4.3 (run before capturing). On a
+     * pool backed by an image file, spills at every table and district
+     * boundary (db::BufferPool::spill).
+     */
     void load(std::uint64_t seed = 7);
 
     /**
-     * Write the loaded database to `path`: its page frames, its table
-     * directory (root page and row count per table) and the history
-     * sequence, under a header naming the scale, load seed and
-     * kDbImageVersion. Written to a temporary file renamed into place,
-     * so a reader never sees a partial image.
+     * A fresh load(`load_seed`) at scale `cfg`, written to the image
+     * file `path` as it is built: its pages, its table directory (root
+     * page and row count per table) and the history sequence, under a
+     * header naming the scale, load seed and kDbImageVersion. The load
+     * spills its finished pages into the file as it goes, so the
+     * database is never resident whole; like an opened image, it reads
+     * each page back the first time it is touched. Written to a
+     * temporary file renamed into place, so a reader never sees a
+     * partial image.
      */
-    void saveImage(const std::string &path);
+    static std::unique_ptr<TpccDb>
+    createImage(const std::string &path, const TpccConfig &cfg,
+                db::DbConfig db_cfg, Tracer &tracer,
+                std::uint64_t load_seed);
 
     /**
-     * The database an image written by saveImage() holds, equal byte
+     * The database an image written by createImage() holds, equal byte
      * for byte to a fresh load(`load_seed`) at scale `cfg`. Nothing is
      * read up front: each page is read into its frame the first time
      * it is touched. Null if there is no file at `path`, and null
@@ -147,7 +158,9 @@ class TpccDb
     Tracer &tr_;
     Tables t_{};
 
-    std::optional<std::uint64_t> loadSeed_; ///< set once loaded
+    /** Set once loaded. Nothing reads it now, but removing it would
+     *  move the traced members below it in cacheless captures. */
+    std::optional<std::uint64_t> loadSeed_;
     std::uint64_t historySeq_ = 0;
     /** Shared distinct-item scratch of STOCK LEVEL (a real, hard
      *  cross-epoch dependence the paper reports as irreducible). */
@@ -173,8 +186,8 @@ struct CaptureOptions
     TpccConfig scale;
     /**
      * Database image shared by captures of this scale and load seed
-     * (TpccDb::saveImage). Opened if valid; otherwise the capture
-     * loads afresh and writes it. Empty: always load afresh.
+     * (TpccDb::createImage). Opened if valid; otherwise the capture
+     * loads afresh into it. Empty: always load afresh, in memory.
      */
     std::string dbImage;
 };

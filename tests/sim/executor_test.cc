@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -148,158 +147,6 @@ TEST(SimExecutorDeathTest, ConcurrentSubmissionPanics)
             submitter.join();
         },
         "not reentrant");
-}
-
-// ---------------------------------------------------------------------
-// Two-stage pipeline.
-// ---------------------------------------------------------------------
-
-TEST(SimExecutorPipeline, BothStagesRunEveryIndexInOrder)
-{
-    SimExecutor ex(4);
-    constexpr std::size_t n = 200;
-    std::vector<std::size_t> produced, consumed;
-    std::mutex mtx; // produce runs on the producer thread
-    ex.pipeline(
-        n,
-        [&](std::size_t i) {
-            std::lock_guard<std::mutex> lk(mtx);
-            produced.push_back(i);
-        },
-        [&](std::size_t i) {
-            std::lock_guard<std::mutex> lk(mtx);
-            consumed.push_back(i);
-        });
-    ASSERT_EQ(produced.size(), n);
-    ASSERT_EQ(consumed.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(produced[i], i);
-        EXPECT_EQ(consumed[i], i);
-    }
-}
-
-TEST(SimExecutorPipeline, ProducerStaysWithinWindow)
-{
-    SimExecutor ex(4);
-    constexpr std::size_t n = 100;
-    constexpr std::size_t window = 3;
-    std::atomic<std::size_t> consumed{0};
-    std::atomic<bool> overshoot{false};
-    ex.pipeline(
-        n,
-        [&](std::size_t i) {
-            // produce(i) may start only once consume(i - window) is
-            // done, i.e. i < consumed + window.
-            if (i >= consumed.load() + window)
-                overshoot = true;
-        },
-        [&](std::size_t i) { consumed = i + 1; }, window);
-    EXPECT_FALSE(overshoot.load());
-    EXPECT_EQ(consumed.load(), n);
-}
-
-TEST(SimExecutorPipeline, ConsumeSeesProducedData)
-{
-    // The hand-off is the point: data written by produce(i) on the
-    // producer thread must be visible to consume(i) on the caller.
-    SimExecutor ex(2);
-    constexpr std::size_t n = 500;
-    std::vector<std::size_t> slot(n, 0);
-    std::size_t sum = 0;
-    ex.pipeline(
-        n, [&](std::size_t i) { slot[i] = i * i; },
-        [&](std::size_t i) { sum += slot[i]; });
-    std::size_t want = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        want += i * i;
-    EXPECT_EQ(sum, want);
-}
-
-TEST(SimExecutorPipeline, SingleJobRunsSerialInline)
-{
-    SimExecutor ex(1);
-    std::thread::id caller = std::this_thread::get_id();
-    std::vector<int> order;
-    ex.pipeline(
-        3,
-        [&](std::size_t i) {
-            EXPECT_EQ(std::this_thread::get_id(), caller);
-            order.push_back(static_cast<int>(i) * 2);
-        },
-        [&](std::size_t i) {
-            order.push_back(static_cast<int>(i) * 2 + 1);
-        });
-    // Exactly the serial reference: p0 c0 p1 c1 p2 c2.
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(SimExecutorPipeline, ProduceExceptionPropagates)
-{
-    SimExecutor ex(4);
-    std::atomic<std::size_t> consumed{0};
-    EXPECT_THROW(ex.pipeline(
-                     100,
-                     [&](std::size_t i) {
-                         if (i == 7)
-                             throw std::runtime_error("produce boom");
-                     },
-                     [&](std::size_t) { consumed++; }),
-                 std::runtime_error);
-    // Items beyond the failure point must not have been consumed.
-    EXPECT_LE(consumed.load(), 7u);
-    // The executor must stay usable afterwards.
-    std::atomic<int> sum{0};
-    ex.parallelFor(10, [&](std::size_t) { sum++; });
-    EXPECT_EQ(sum.load(), 10);
-}
-
-TEST(SimExecutorPipeline, ConsumeExceptionPropagates)
-{
-    SimExecutor ex(4);
-    EXPECT_THROW(ex.pipeline(
-                     100, [](std::size_t) {},
-                     [](std::size_t i) {
-                         if (i == 3)
-                             throw std::runtime_error("consume boom");
-                     }),
-                 std::runtime_error);
-    std::atomic<std::size_t> done{0};
-    ex.pipeline(
-        5, [](std::size_t) {}, [&](std::size_t) { done++; });
-    EXPECT_EQ(done.load(), 5u);
-}
-
-TEST(SimExecutorPipeline, EmptyAndSingleItemDegenerate)
-{
-    SimExecutor ex(4);
-    int produced = 0, consumed = 0;
-    ex.pipeline(
-        0, [&](std::size_t) { produced++; },
-        [&](std::size_t) { consumed++; });
-    EXPECT_EQ(produced, 0);
-    EXPECT_EQ(consumed, 0);
-    ex.pipeline(
-        1, [&](std::size_t) { produced++; },
-        [&](std::size_t) { consumed++; });
-    EXPECT_EQ(produced, 1);
-    EXPECT_EQ(consumed, 1);
-}
-
-TEST(SimExecutorPipeline, ZeroWindowIsClampedToOne)
-{
-    SimExecutor ex(2);
-    constexpr std::size_t n = 20;
-    std::atomic<std::size_t> consumed{0};
-    std::atomic<bool> overshoot{false};
-    ex.pipeline(
-        n,
-        [&](std::size_t i) {
-            if (i >= consumed.load() + 1)
-                overshoot = true;
-        },
-        [&](std::size_t i) { consumed = i + 1; }, 0);
-    EXPECT_FALSE(overshoot.load());
-    EXPECT_EQ(consumed.load(), n);
 }
 
 // ---------------------------------------------------------------------

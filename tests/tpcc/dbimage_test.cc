@@ -1,9 +1,10 @@
 /**
  * @file
- * Database images (TpccDb::saveImage / openImage): a database opened
- * from an image must equal a fresh load byte for byte, before and
- * after the same transactions, for every benchmark and both builds;
- * and a damaged or mismatched image must be rejected, re-loaded and
+ * Database images (TpccDb::createImage / openImage): the database that
+ * creates an image and one opened from it must equal a fresh load
+ * byte for byte, before and after the same transactions, for every
+ * benchmark and both builds; the image's bytes are pinned; and a
+ * damaged or mismatched image must be rejected, re-loaded and
  * rewritten rather than trusted.
  */
 
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,11 +113,27 @@ tracerOptions(bool tls)
     return o;
 }
 
+/** The per-transaction shape of two captures agrees. */
+void
+expectSameShape(const WorkloadTrace &a, const WorkloadTrace &b)
+{
+    ASSERT_EQ(a.txns.size(), b.txns.size());
+    for (std::size_t i = 0; i < a.txns.size(); ++i) {
+        EXPECT_EQ(a.txns[i].totalInsts(), b.txns[i].totalInsts())
+            << "txn " << i;
+        EXPECT_EQ(a.txns[i].epochCount(), b.txns[i].epochCount())
+            << "txn " << i;
+    }
+}
+
 class DbImageEquivalence
     : public ::testing::TestWithParam<std::pair<TxnType, bool>>
 {
 };
 
+// The database that creates an image (its pages spilled to the file
+// and read back on touch) and the one that opens it both match a
+// fresh in-memory load.
 TEST_P(DbImageEquivalence, OpenedImageMatchesFreshLoad)
 {
     const auto [type, tls] = GetParam();
@@ -125,36 +143,38 @@ TEST_P(DbImageEquivalence, OpenedImageMatchesFreshLoad)
         std::to_string(static_cast<int>(type)));
 
     // Before any transaction.
-    Tracer tr_a(tracerOptions(tls));
-    TpccDb fresh_a(scale, dbConfig(tls), tr_a);
-    fresh_a.load(kLoadSeed);
-    fresh_a.saveImage(path);
-    Tracer tr_b(tracerOptions(tls));
-    auto opened_a =
-        TpccDb::openImage(path, scale, dbConfig(tls), tr_b, kLoadSeed);
-    ASSERT_NE(opened_a, nullptr);
-    expectSameDatabase(fresh_a, *opened_a);
-
-    // After the same transactions, on a database that has read no
-    // page yet (every read is a first touch during a transaction).
-    Tracer tr_c(tracerOptions(tls));
-    TpccDb fresh(scale, dbConfig(tls), tr_c);
-    fresh.load(kLoadSeed);
-    Tracer tr_d(tracerOptions(tls));
-    auto opened =
-        TpccDb::openImage(path, scale, dbConfig(tls), tr_d, kLoadSeed);
-    ASSERT_NE(opened, nullptr);
-    WorkloadTrace w_fresh = runTxns(fresh, tr_c, type, 6);
-    WorkloadTrace w_opened = runTxns(*opened, tr_d, type, 6);
-    ASSERT_EQ(w_fresh.txns.size(), w_opened.txns.size());
-    for (std::size_t i = 0; i < w_fresh.txns.size(); ++i) {
-        EXPECT_EQ(w_fresh.txns[i].totalInsts(),
-                  w_opened.txns[i].totalInsts())
-            << "txn " << i;
-        EXPECT_EQ(w_fresh.txns[i].epochCount(),
-                  w_opened.txns[i].epochCount())
-            << "txn " << i;
+    {
+        Tracer tr_a(tracerOptions(tls)), tr_b(tracerOptions(tls)),
+            tr_c(tracerOptions(tls));
+        TpccDb fresh(scale, dbConfig(tls), tr_a);
+        fresh.load(kLoadSeed);
+        auto created = TpccDb::createImage(path, scale, dbConfig(tls),
+                                           tr_b, kLoadSeed);
+        auto opened = TpccDb::openImage(path, scale, dbConfig(tls), tr_c,
+                                        kLoadSeed);
+        ASSERT_NE(opened, nullptr);
+        expectSameDatabase(fresh, *created);
+        expectSameDatabase(fresh, *opened);
     }
+
+    // After the same transactions, on databases that hold no page yet
+    // (every read is a first touch during a transaction).
+    Tracer tr_a(tracerOptions(tls)), tr_b(tracerOptions(tls)),
+        tr_c(tracerOptions(tls));
+    TpccDb fresh(scale, dbConfig(tls), tr_a);
+    fresh.load(kLoadSeed);
+    auto created =
+        TpccDb::createImage(path, scale, dbConfig(tls), tr_b, kLoadSeed);
+    auto opened =
+        TpccDb::openImage(path, scale, dbConfig(tls), tr_c, kLoadSeed);
+    ASSERT_NE(opened, nullptr);
+    EXPECT_EQ(created->database().pool().residentPages(), 0u);
+    WorkloadTrace w_fresh = runTxns(fresh, tr_a, type, 6);
+    WorkloadTrace w_created = runTxns(*created, tr_b, type, 6);
+    WorkloadTrace w_opened = runTxns(*opened, tr_c, type, 6);
+    expectSameShape(w_fresh, w_created);
+    expectSameShape(w_fresh, w_opened);
+    expectSameDatabase(fresh, *created);
     expectSameDatabase(fresh, *opened);
     fs::remove(path);
 }
@@ -191,6 +211,69 @@ TEST(DbImage, TunedAndUntunedLoadsAreByteIdentical)
     tls.load(kLoadSeed);
     EXPECT_TRUE(frames(orig) == frames(tls));
     EXPECT_EQ(directory(orig), directory(tls));
+}
+
+/** Pages a fresh load at `scale` allocates. */
+std::uint64_t
+loadedPages(const TpccConfig &scale)
+{
+    Tracer tr;
+    TpccDb t(scale, dbConfig(true), tr);
+    t.load(kLoadSeed);
+    return t.database().pool().pagesAllocated();
+}
+
+TEST(DbImage, CreatingLoadKeepsLessThanADistrictResident)
+{
+    const TpccConfig scale = TpccConfig::tiny();
+    TpccConfig fewer = scale;
+    fewer.districts -= 1;
+    const std::uint64_t district_pages =
+        loadedPages(scale) - loadedPages(fewer);
+    ASSERT_GT(district_pages, 0u);
+
+    auto &gc = stats::GlobalCounters::instance();
+    gc.reset();
+    const std::string path = imagePath("resident");
+    Tracer tr;
+    auto created =
+        TpccDb::createImage(path, scale, dbConfig(true), tr, kLoadSeed);
+    db::BufferPool &pool = created->database().pool();
+    EXPECT_LT(pool.residentPages(), district_pages);
+    // Every page went out at least once.
+    EXPECT_GE(gc.value("dbpool.spilledPages"), pool.pagesAllocated());
+
+    // Touching pages reads them back; the count reaches the stats
+    // counter when the pool is destroyed.
+    const std::uint64_t before = gc.value("dbpool.imageReads");
+    for (db::PageId pid = 1; pid <= 5; ++pid)
+        pool.frameAddr(pid);
+    EXPECT_EQ(pool.residentPages(), 5u);
+    created.reset();
+    EXPECT_EQ(gc.value("dbpool.imageReads"), before + 5);
+    gc.reset();
+    fs::remove(path);
+}
+
+// The bytes of the tiny image, pinned: a change to the load, the row
+// or page layouts, or the image writer that alters them must bump
+// kDbImageVersion and this pin together.
+TEST(DbImageGolden, ImageBytesArePinned)
+{
+    const std::string path = imagePath("golden");
+    Tracer tr;
+    TpccDb::createImage(path, TpccConfig::tiny(), dbConfig(true), tr,
+                        kLoadSeed);
+    std::ifstream f(path, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(f)), {});
+    std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a 64
+    for (char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(bytes.size(), 1146880u);
+    EXPECT_EQ(h, 0x55d35fcad578cbb6ull);
+    fs::remove(path);
 }
 
 TEST(DbImage, MissingFileIsAQuietMiss)

@@ -5,8 +5,8 @@
 #   build-asan  AddressSanitizer + UndefinedBehaviorSanitizer,
 #               full unit-test suite;
 #   build-tsan  ThreadSanitizer, the threaded components only (the
-#               parallel simulation executor, the capture/replay
-#               pipeline, the benches' fan-out, and concurrent
+#               parallel simulation executor, the benches'
+#               fan-out, and concurrent
 #               captures sharing one database image, i.e. every test
 #               named *Executor*, *Parallel* or *Shared*) - the rest of the
 #               simulator is single-threaded and TSan makes it ~10x

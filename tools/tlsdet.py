@@ -36,8 +36,8 @@ something a re-run does not reproduce.
 
   D3  parallel-reduction order.
       A compound assignment to a shared variable inside an executor
-      task (parallelFor/pipeline argument) reduces in completion
-      order. Float/double accumulation there is an error — collect
+      task (parallelFor argument) reduces in completion order.
+      Float/double accumulation there is an error — collect
       per-index slots and det::orderedReduce after the barrier.
       Integer reductions are commutative only if *declared* so:
       `// tlsdet:commutative(var): reason`.
@@ -52,8 +52,8 @@ something a re-run does not reproduce.
 
 The runtime cross-check is --det-probe (base/dethash.h): benches hash
 the canonical result stream per stage and the `det` ctest label
-compares the digests across --jobs=1/N, --force-scalar and pipelined
-runs; tlsdet is the static side of the same contract.
+compares the digests across --jobs=1/N and --force-scalar runs;
+tlsdet is the static side of the same contract.
 
 Sink closure: the functions listed in tools/detsinks.txt, their
 direct callers (the aggregation loops that feed them), and everything
@@ -113,7 +113,7 @@ ADDR_INT_TYPES = {"uintptr_t", "intptr_t", "size_t", "uint64_t",
                   "u64"}
 
 FLOAT_TYPES = {"float", "double"}
-EXECUTORS = {"parallelFor", "pipeline"}
+EXECUTORS = {"parallelFor"}
 
 #: `// tlsdet:commutative(var): reason` — declares an integer
 #: cross-task reduction commutative. The reason is mandatory, like the
