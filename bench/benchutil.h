@@ -196,7 +196,7 @@ class BenchReport
     double
     wallSeconds() const
     {
-        // tlsdet:allow(D2): timing-only wall_seconds/records_per_second
+        // tlsa:allow(D2): timing-only wall_seconds/records_per_second
         auto end = std::chrono::steady_clock::now();
         return std::chrono::duration<double>(end - start_).count();
     }

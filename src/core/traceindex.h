@@ -186,7 +186,7 @@ class TraceIndex
     std::size_t maxSectionLines_ = 0;
 
     std::vector<EpochView> views_;
-    // tlsdet:allow(D1): viewOf point lookups only, never iterated
+    // tlsa:allow(D1): viewOf point lookups only, never iterated
     std::unordered_map<const EpochTrace *, std::uint32_t> viewIdx_;
 };
 

@@ -37,29 +37,18 @@ Every bench binary writes this schema when invoked with --json=FILE:
           "<stage>": "<16 hex>", ...  # capture/replay/aggregate/serialize
         }
       },
-      "staticanalysis": {             # optional; tlslint/tlsa/tlsdet --json
-        "engine": "libclang"|"lex",
-        "checks_run": <int >= 4>,     # the tool's full check set ran
+      "staticanalysis": {             # optional; tools/tlsa.py --json
+        "checks_run": <int > 0>,
         "files_scanned": <int > 0>,
+        "unresolved_calls": <int >= 0>,  # receivers of unseen type
         "violations": 0,              # the tree must be clean
         "suppressions": <int >= 0>,   # reasoned allows, informational
         "suppressions_by_check": {    # census; must sum to the count
           "<check>": <int >= 0>, ...
         }
-      },                              # per-pass results[] entries must
-                                      # each report violations == 0
-      "lifetime": {                   # optional; tlslife --json
-        "engine": "libclang"|"lex",
-        "checks_run": <int >= 4>,     # P1..P4 all ran
-        "files_scanned": <int > 0>,
-        "pooled_types": <int >= 0>,   # poolreset.txt census
-        "persistent_fields": <int >= 0>,
-        "views": <int >= 0>,
-        "violations": 0,              # the tree must be clean
-        "suppressions": <int >= 0>,
-        "suppressions_by_check": { "<check>": <int >= 0>, ... }
-      },                              # per-pass results[] entries must
-                                      # each report violations == 0
+      },                              # results[] must name every pass
+                                      # tools/tlsa.py defines, each with
+                                      # violations == 0
       "replay": {                     # optional; absent only in
         "simd": "avx2"|"scalar",      # pre-replay-block reports
         "<counter>": <number >= 0>,   # the replay.* counter group
@@ -77,7 +66,11 @@ problem on stderr). Used by the `bench-smoke` ctest label.
 
 import json
 import numbers
+import os
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import tlsa  # noqa: E402  (the pass list a full run must report)
 
 
 def fail(path, msg):
@@ -211,22 +204,12 @@ def check_staticanalysis(path, sa):
     if not isinstance(sa, dict):
         return fail(path, "'staticanalysis' is not an object")
     ok = True
-    engine = sa.get("engine")
-    if engine not in ("libclang", "lex"):
-        ok = fail(path, "staticanalysis 'engine' must be 'libclang' "
-                        f"or 'lex', got {engine!r}")
-    checks = sa.get("checks_run")
-    if not isinstance(checks, int) or isinstance(checks, bool) \
-            or checks < 4:
-        # All four repo-invariant checks (T1..T4) must have run; a
-        # report from a --check subset does not count as a clean tree.
-        ok = fail(path, "staticanalysis 'checks_run' must be an "
-                        f"integer >= 4, got {checks!r}")
-    scanned = sa.get("files_scanned")
-    if not isinstance(scanned, int) or isinstance(scanned, bool) \
-            or scanned <= 0:
-        ok = fail(path, "staticanalysis 'files_scanned' must be an "
-                        f"integer > 0, got {scanned!r}")
+    for key, low in (("checks_run", 1), ("files_scanned", 1),
+                     ("unresolved_calls", 0)):
+        v = sa.get(key)
+        if not isinstance(v, int) or isinstance(v, bool) or v < low:
+            ok = fail(path, f"staticanalysis {key!r} must be an "
+                            f"integer >= {low}, got {v!r}")
     violations = sa.get("violations")
     if violations != 0 or isinstance(violations, bool):
         ok = fail(path, "staticanalysis 'violations' must be 0, "
@@ -257,66 +240,16 @@ def check_staticanalysis(path, sa):
     return ok
 
 
-def check_lifetime(path, lt):
-    if not isinstance(lt, dict):
-        return fail(path, "'lifetime' is not an object")
-    ok = True
-    engine = lt.get("engine")
-    if engine not in ("libclang", "lex"):
-        ok = fail(path, "lifetime 'engine' must be 'libclang' or "
-                        f"'lex', got {engine!r}")
-    checks = lt.get("checks_run")
-    if not isinstance(checks, int) or isinstance(checks, bool) \
-            or checks < 4:
-        # All four lifetime passes (P1..P4) must have run; a report
-        # from a --check subset does not count as a clean tree.
-        ok = fail(path, "lifetime 'checks_run' must be an integer "
-                        f">= 4, got {checks!r}")
-    scanned = lt.get("files_scanned")
-    if not isinstance(scanned, int) or isinstance(scanned, bool) \
-            or scanned <= 0:
-        ok = fail(path, "lifetime 'files_scanned' must be an "
-                        f"integer > 0, got {scanned!r}")
-    for key in ("pooled_types", "persistent_fields", "views"):
-        v = lt.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            ok = fail(path, f"lifetime {key!r} must be an integer "
-                            f">= 0, got {v!r}")
-    violations = lt.get("violations")
-    if violations != 0 or isinstance(violations, bool):
-        ok = fail(path, "lifetime 'violations' must be 0, "
-                        f"got {violations!r}")
-    supp = lt.get("suppressions")
-    if not isinstance(supp, int) or isinstance(supp, bool) or supp < 0:
-        ok = fail(path, "lifetime 'suppressions' must be an "
-                        f"integer >= 0, got {supp!r}")
-    census = lt.get("suppressions_by_check")
-    if not isinstance(census, dict):
-        ok = fail(path, "lifetime 'suppressions_by_check' must be "
-                        f"an object, got {census!r}")
-    else:
-        good = True
-        for k, v in census.items():
-            if not isinstance(k, str) or not k or \
-                    not isinstance(v, int) or isinstance(v, bool) or \
-                    v < 0:
-                good = ok = fail(
-                    path, "lifetime suppression census entry "
-                          f"{k!r}: {v!r} must map a check id to an "
-                          "integer >= 0")
-        if good and isinstance(supp, int) and \
-                sum(census.values()) != supp:
-            ok = fail(path, "lifetime suppression census sums to "
-                            f"{sum(census.values())}, but "
-                            f"'suppressions' says {supp!r}")
-    return ok
-
-
 def check_staticanalysis_results(path, results):
     # With a staticanalysis block present, results[] carries one
-    # entry per pass; a clean report means every pass is clean, not
-    # just the total.
+    # entry per pass; a clean report means every pass ran and is
+    # clean, not just the total. A --check subset is not a clean tree.
     ok = True
+    names = {e.get("name") for e in results if isinstance(e, dict)}
+    missing = [c for c in tlsa.CHECK_IDS if c not in names]
+    if missing:
+        ok = fail(path, "staticanalysis results[] lacks the passes "
+                        f"{', '.join(missing)}: not a full tlsa run")
     for i, entry in enumerate(results):
         if not isinstance(entry, dict):
             continue  # shape errors reported by check_result
@@ -388,8 +321,6 @@ def check_file(path):
         ok = check_determinism(path, doc["determinism"]) and ok
     if "staticanalysis" in doc:
         ok = check_staticanalysis(path, doc["staticanalysis"]) and ok
-    if "lifetime" in doc:
-        ok = check_lifetime(path, doc["lifetime"]) and ok
     if "replay" in doc:
         ok = check_replay(path, doc["replay"]) and ok
     results = doc.get("results")
@@ -398,7 +329,7 @@ def check_file(path):
     else:
         for i, entry in enumerate(results):
             ok = check_result(path, i, entry) and ok
-        if "staticanalysis" in doc or "lifetime" in doc:
+        if "staticanalysis" in doc:
             ok = check_staticanalysis_results(path, results) and ok
     return ok
 

@@ -22,7 +22,7 @@
 #   build-poison  -DTLSIM_POISON=ON: pooled objects carry lifecycle
 #               tokens, released storage is scribbled with canaries,
 #               and the acquire path verifies reset completeness
-#               (base/poison.h — the runtime half of tools/tlslife.py).
+#               (base/poison.h — the runtime half of tlsa's P passes).
 #               Runs the pool-discipline suites plus a quick Figure 5
 #               under the full invariant auditor.
 #
@@ -31,8 +31,9 @@
 #               errors via -DTLSIM_THREAD_SAFETY=ON) - compile-time
 #               proof of the lock discipline TSan can only spot-check
 #               dynamically. Skipped with a notice when clang++ is not
-#               installed; tlslint (pure python) runs either way, with
-#               its --json report validated by check_bench_json.py.
+#               installed; tlsa (pure python, every pass family)
+#               runs either way, with its --json report validated by
+#               check_bench_json.py.
 #
 # Usage: tools/run_sanitizers.sh [asan|tsan|static|simd-off|poison|all]
 # (default: all; --static is accepted as a synonym for static.)
@@ -105,26 +106,11 @@ run_static() {
         echo "=== static: clang++ not installed; skipping" \
              "thread-safety analysis build ==="
     fi
-    echo "=== static: tlslint ==="
-    python3 "$root/tools/tlslint.py" --root "$root" \
-        --json "$root/build-tlslint-report.json"
-    python3 "$root/tools/check_bench_json.py" \
-        "$root/build-tlslint-report.json"
     echo "=== static: tlsa ==="
     python3 "$root/tools/tlsa.py" --root "$root" --require-manifests \
         --json "$root/build-tlsa-report.json"
     python3 "$root/tools/check_bench_json.py" \
         "$root/build-tlsa-report.json"
-    echo "=== static: tlsdet ==="
-    python3 "$root/tools/tlsdet.py" --root "$root" --require-manifests \
-        --json "$root/build-tlsdet-report.json"
-    python3 "$root/tools/check_bench_json.py" \
-        "$root/build-tlsdet-report.json"
-    echo "=== static: tlslife ==="
-    python3 "$root/tools/tlslife.py" --root "$root" --require-manifests \
-        --json "$root/build-tlslife-report.json"
-    python3 "$root/tools/check_bench_json.py" \
-        "$root/build-tlslife-report.json"
 }
 
 run_poison() {

@@ -1,14 +1,13 @@
-# ctest script for lint_tlsa_json: run the tlsa semantic analyzer
-# over the tree with --json (manifests required — the real-tree CI
-# configuration), then validate the report with check_bench_json.py.
-# Two steps, one test, so a schema drift between the two tools fails
-# CI immediately.
+# ctest script for lint_tlsa: run the static analyzer over the tree
+# with --json and every manifest required, then validate the report
+# with check_bench_json.py. One test, so a tree violation and a schema
+# drift between the two tools both fail it.
 #
 # Inputs: -DPYTHON=... -DSOURCE_DIR=... -DOUT=...
 
 execute_process(
     COMMAND ${PYTHON} ${SOURCE_DIR}/tools/tlsa.py
-            --root ${SOURCE_DIR} --require-manifests --json ${OUT} -q
+            --root ${SOURCE_DIR} --require-manifests --json ${OUT}
     RESULT_VARIABLE lint_rc)
 if(NOT lint_rc EQUAL 0)
     message(FATAL_ERROR "tlsa found violations (exit ${lint_rc})")
