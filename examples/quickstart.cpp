@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "sim/executor.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 
@@ -30,7 +31,14 @@ main()
     cfg.machine.print(std::cout);
     std::cout << "\n";
 
-    sim::Figure5Row row = sim::runFigure5(tpcc::TxnType::NewOrder, cfg);
+    // Capture the workload once, analyse it, then replay all five
+    // bars across the host's cores.
+    sim::BenchmarkTraces traces =
+        sim::captureTraces(tpcc::TxnType::NewOrder, cfg);
+    traces.buildIndexes(cfg.machine.mem.lineBytes);
+    sim::SimExecutor ex;
+    sim::Figure5Row row =
+        sim::runFigure5(tpcc::TxnType::NewOrder, cfg, traces, ex);
     sim::printFigure5Row(std::cout, row);
 
     std::cout << "NEW ORDER speedup with sub-threads: "

@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic-ordering helpers, the allowlisted spellings for the
- * tlsdet D1/D3 passes (tools/tlsdet.py):
+ * tlsa D1/D3 passes (tools/tlsa_det.py):
  *
  *  - OrderedView: materialize a sorted-by-key iteration order over an
  *    unordered associative container. Iterating an unordered_map on a

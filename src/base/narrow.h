@@ -6,7 +6,7 @@
  * untrusted bytes, and a silent `static_cast` to a smaller type is
  * exactly the bug class that turns a corrupt file into corrupt
  * simulation state. Every narrowing conversion there goes through one
- * of these helpers — enforced by tlslint check T3, which flags any raw
+ * of these helpers — enforced by tlsa check T3, which flags any raw
  * fixed-width narrowing static_cast in those files:
  *
  *   checkedNarrow<T>(v)   value must be representable in T; panics

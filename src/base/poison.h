@@ -2,11 +2,12 @@
  * @file
  * Poison-on-recycle runtime cross-check for pooled objects.
  *
- * The static analyzer (tools/tlslife.py) proves recycle discipline on
- * the token stream; this header is the runtime half of the bargain:
- * canary patterns scribbled into dead storage, and a lifecycle token
- * that turns use-after-release and double-release into immediate
- * panics instead of silent stale-state corruption.
+ * The static analyzer (tlsa's P passes, tools/tlsa_life.py) proves
+ * recycle discipline on the token stream; this header is the runtime
+ * half of the bargain: canary patterns scribbled into dead storage,
+ * and a lifecycle token that turns use-after-release and
+ * double-release into immediate panics instead of silent stale-state
+ * corruption.
  *
  * The Token itself is always compiled so its contract is testable in
  * the default build; the pooled-object hooks (EpochRun's scalar

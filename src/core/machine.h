@@ -283,7 +283,7 @@ class TlsMachine : public TlsHooks
 
         /** Acquire-time cross-check: recycle() restored every field
          *  to its checkout baseline (no canary survived, no vector
-         *  kept elements). The runtime twin of tlslife's P2 pass. */
+         *  kept elements). The runtime twin of tlsa's P2 pass. */
         void
         assertRecycled() const
         {

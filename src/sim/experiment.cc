@@ -268,15 +268,6 @@ Figure5Row::speedup(Bar b) const
 }
 
 Figure5Row
-runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg)
-{
-    BenchmarkTraces traces = captureTraces(type, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
-    SimExecutor serial(1);
-    return runFigure5(type, cfg, traces, serial);
-}
-
-Figure5Row
 runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg,
            const BenchmarkTraces &traces, SimExecutor &ex)
 {
@@ -306,25 +297,6 @@ runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
         out[i] = {k, s, simulate(traces, sweepPoint(cfg, k, s))};
     });
     return out;
-}
-
-std::vector<SweepPoint>
-runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
-           const std::vector<unsigned> &counts,
-           const std::vector<std::uint64_t> &spacings)
-{
-    BenchmarkTraces traces = captureTraces(type, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
-    SimExecutor serial(1);
-    return runFigure6(type, cfg, counts, spacings, traces, serial);
-}
-
-Table2Row
-table2Row(tpcc::TxnType type, const ExperimentConfig &cfg)
-{
-    BenchmarkTraces traces = captureTraces(type, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
-    return table2Row(type, cfg, traces);
 }
 
 Table2Row

@@ -221,9 +221,6 @@ struct Figure5Row
     double speedup(Bar b) const;
 };
 
-/** Capture, index, then the executor variant on one worker. */
-Figure5Row runFigure5(tpcc::TxnType type, const ExperimentConfig &cfg);
-
 /**
  * Figure 5 over previously captured traces: the five bars fan out
  * across `ex`. Bit-identical for any job count (each bar is an
@@ -242,12 +239,6 @@ struct SweepPoint
      *  run.makespan is the calibrated prediction. */
     bool simulated = true;
 };
-
-/** Capture, index, then the executor variant on one worker. */
-std::vector<SweepPoint>
-runFigure6(tpcc::TxnType type, const ExperimentConfig &cfg,
-           const std::vector<unsigned> &counts,
-           const std::vector<std::uint64_t> &spacings);
 
 /**
  * Figure 6 over previously captured traces: all (count, spacing)
@@ -272,9 +263,6 @@ struct Table2Row
     double threadsPerTxn;    ///< mean epochs per parallel loop
     std::uint64_t epochs;
 };
-
-/** Capture, index, then the variant below. */
-Table2Row table2Row(tpcc::TxnType type, const ExperimentConfig &cfg);
 
 /** Table 2 over previously captured traces (no re-capture); the
  *  sequential time is runBar(Bar::Sequential, ...). */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Poison token lifecycle tests (base/poison.h): the runtime half of
- * the object-lifetime discipline that tools/tlslife.py proves
+ * the object-lifetime discipline that tlsa's P passes prove
  * statically. The Token compiles in every build flavor, so these run
  * unconditionally; the pooled-object hooks it guards (EpochRun,
  * LineSet, L2Cache) are exercised by the whole suite under the

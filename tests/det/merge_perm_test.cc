@@ -1,13 +1,13 @@
 /**
  * @file
  * Generated-by-manifest permutation property tests for the mergers
- * declared in tools/detmergers.txt (tlsdet pass D4).
+ * declared in tools/detmergers.txt (tlsa pass D4).
  *
  * Every function the manifest declares order-insensitive must have a
  * registered property here that feeds it the same multiset of inputs
  * in several shard orders and demands an identical merged result; a
  * manifest entry with no registered property fails the suite (and
- * tlsdet independently flags it as d4-untested, since this file is
+ * tlsa independently flags it as d4-untested, since this file is
  * the corpus its structural check greps).
  */
 

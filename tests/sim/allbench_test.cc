@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/executor.h"
 #include "sim/experiment.h"
 
 namespace tlsim {
@@ -26,6 +27,16 @@ cfg()
     return c;
 }
 
+Figure5Row
+figure5(tpcc::TxnType type)
+{
+    const ExperimentConfig c = cfg();
+    BenchmarkTraces traces = captureTraces(type, c);
+    traces.buildIndexes(c.machine.mem.lineBytes);
+    SimExecutor ex(1);
+    return runFigure5(type, c, traces, ex);
+}
+
 class AllBenchmarks
     : public ::testing::TestWithParam<tpcc::TxnType>
 {
@@ -33,7 +44,7 @@ class AllBenchmarks
 
 TEST_P(AllBenchmarks, Figure5InvariantsHold)
 {
-    Figure5Row row = runFigure5(GetParam(), cfg());
+    Figure5Row row = figure5(GetParam());
 
     const RunResult &seq = row.result(Bar::Sequential);
     EXPECT_EQ(seq.primaryViolations, 0u);
@@ -74,14 +85,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CrossBenchmark, CoverageBoundTransactionsStayFlat)
 {
     // PAYMENT's coverage is ~1-3%: Amdahl forbids speedup.
-    Figure5Row payment = runFigure5(tpcc::TxnType::Payment, cfg());
+    Figure5Row payment = figure5(tpcc::TxnType::Payment);
     EXPECT_LT(payment.speedup(Bar::Baseline), 1.15);
     EXPECT_LT(payment.speedup(Bar::NoSpeculation), 1.15);
 }
 
 TEST(CrossBenchmark, NewOrderBenefitsSubstantially)
 {
-    Figure5Row row = runFigure5(tpcc::TxnType::NewOrder, cfg());
+    Figure5Row row = figure5(tpcc::TxnType::NewOrder);
     EXPECT_GT(row.speedup(Bar::Baseline), 1.5);
 }
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,7 +45,7 @@ TEST(SimExecutor, ReusableAcrossBatches)
 TEST(SimExecutor, UnevenTasksAllComplete)
 {
     // Mix one long task among many short ones: the long task pins a
-    // worker while the rest get stolen and finished by the others.
+    // worker while the others drain the rest of the cursor.
     SimExecutor ex(4);
     constexpr std::size_t n = 64;
     std::vector<std::atomic<int>> hits(n);
@@ -60,12 +61,23 @@ TEST(SimExecutor, UnevenTasksAllComplete)
 TEST(SimExecutor, ExceptionPropagatesToCaller)
 {
     SimExecutor ex(4);
-    EXPECT_THROW(ex.parallelFor(100,
-                                [&](std::size_t i) {
-                                    if (i == 37)
-                                        throw std::runtime_error("boom");
-                                }),
-                 std::runtime_error);
+    constexpr std::size_t n = 100;
+    std::vector<std::atomic<int>> hits(n);
+    try {
+        ex.parallelFor(n, [&](std::size_t i) {
+            if (i == 37 || i == 80)
+                throw std::runtime_error("boom " + std::to_string(i));
+            hits[i]++;
+        });
+        FAIL() << "parallelFor swallowed the task's exception";
+    } catch (const std::runtime_error &e) {
+        // The lowest failing index wins, whichever thread ran it.
+        EXPECT_STREQ(e.what(), "boom 37");
+    }
+    // Every other task still ran, exactly once.
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i].load(), i == 37 || i == 80 ? 0 : 1)
+            << "index " << i;
     // The executor must stay usable after a failed batch.
     std::atomic<int> sum{0};
     ex.parallelFor(10, [&](std::size_t) { sum++; });
@@ -84,18 +96,6 @@ TEST(SimExecutor, SingleJobRunsInlineOnCallerThread)
         EXPECT_EQ(id, caller);
 }
 
-TEST(SimExecutor, MapFillsByIndex)
-{
-    SimExecutor ex(4);
-    std::vector<int> sq =
-        ex.map<int>(50, [](std::size_t i) {
-            return static_cast<int>(i * i);
-        });
-    ASSERT_EQ(sq.size(), 50u);
-    for (std::size_t i = 0; i < sq.size(); ++i)
-        EXPECT_EQ(sq[i], static_cast<int>(i * i));
-}
-
 TEST(SimExecutor, AutoJobsIsAtLeastOne)
 {
     SimExecutor ex(0);
@@ -104,11 +104,10 @@ TEST(SimExecutor, AutoJobsIsAtLeastOne)
 
 TEST(SimExecutor, ManySmallBatchesStress)
 {
-    // Hammer the open/seed/drain/close cycle: with 4 workers and
-    // batches as small as a single task, any window where the batch
-    // state is published before it is fully initialized (or recycled
-    // before the last worker is out) shows up as a lost or double
-    // execution — and as a TSan report in the instrumented build.
+    // Hammer the start/drain/join cycle: with 4 workers and batches
+    // as small as a single task, a cursor or result slot that leaks
+    // between calls shows up as a lost or double execution — and as
+    // a TSan report in the instrumented build.
     SimExecutor ex(4);
     for (int round = 0; round < 200; ++round) {
         const std::size_t n = 1 + round % 7;
@@ -118,35 +117,33 @@ TEST(SimExecutor, ManySmallBatchesStress)
     }
 }
 
-TEST(SimExecutorDeathTest, ConcurrentSubmissionPanics)
+TEST(SimExecutor, ConcurrentAndNestedSubmissionsComplete)
 {
-    // The executor is single-submitter by contract; a second
-    // parallelFor while a batch is open must panic, not corrupt the
-    // shared batch state. The first submitter's task blocks until the
-    // overlapping submission has been made, so the overlap is
-    // deterministic, not a lucky interleaving.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            SimExecutor ex(2);
-            std::atomic<bool> inside{false};
-            std::atomic<bool> release{false};
-            std::thread submitter([&] {
-                ex.parallelFor(1, [&](std::size_t) {
-                    inside = true;
-                    while (!release)
-                        std::this_thread::yield();
-                });
+    // Calls share no state: a second thread submitting while a call
+    // is in flight, and a task submitting to its own executor, both
+    // run to completion. The outer tasks wait until both outer calls
+    // are inside, so the overlap is certain, not a lucky interleaving.
+    SimExecutor ex(2);
+    constexpr std::size_t outer = 4, inner = 3;
+    std::vector<std::atomic<int>> hits(2 * outer * inner);
+    std::atomic<int> inside{0};
+    auto submit = [&](std::size_t which) {
+        ex.parallelFor(outer, [&, which](std::size_t i) {
+            if (i == 0) {
+                inside++;
+                while (inside.load() < 2)
+                    std::this_thread::yield();
+            }
+            ex.parallelFor(inner, [&, which, i](std::size_t k) {
+                hits[(which * outer + i) * inner + k]++;
             });
-            while (!inside)
-                std::this_thread::yield();
-            // Batch still open (its only task is spinning): the
-            // overlapping submission must die here.
-            ex.parallelFor(1, [](std::size_t) {});
-            release = true;
-            submitter.join();
-        },
-        "not reentrant");
+        });
+    };
+    std::thread other(submit, 1);
+    submit(0);
+    other.join();
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 // ---------------------------------------------------------------------

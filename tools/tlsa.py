@@ -11,7 +11,7 @@ over it:
 
   T  token rules, one file at a time
      T2  no std::thread / pthread_create / .detach() outside
-         sim/executor: host parallelism goes through the pool.
+         sim/executor: host parallelism goes through the executor.
      T3  in the trace decode paths and the critical-path oracle,
          narrowing static_casts to <= 32-bit types are spelled
          checkedNarrow<T>() / truncateNarrow<T>() (base/narrow.h).

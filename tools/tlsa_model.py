@@ -176,6 +176,11 @@ KEYWORDS = {
     "override",
 }
 
+#: Containers whose element type types `m[i]`, `m.at(i)`, `m.front()`
+#: and `m.back()` (ELEM_ACCESSORS): `std::vector<T>`, `std::array<T, N>`.
+ELEM_CONTAINERS = {"vector", "array"}
+ELEM_ACCESSORS = {"at", "front", "back"}
+
 #: Builtin type spellings that may head a member declaration. They
 #: are KEYWORDS (so they never parse as member *names*) but P2's
 #: reset-completeness walk needs `bool valid;`-style members in the
@@ -190,16 +195,17 @@ BUILTIN_TYPES = {
 
 class CallSite:
     __slots__ = ("name", "quals", "recv", "recv_class", "recv_call",
-                 "line", "idx")
+                 "recv_elem", "line", "idx")
 
     def __init__(self, name, quals, recv, recv_class, line, idx,
-                 recv_call=None):
+                 recv_call=None, recv_elem=False):
         self.name = name          # callee spelling
         self.quals = quals        # explicit A::B:: prefix, tuple
         self.recv = recv          # receiver spelling ('' if none)
         self.recv_class = recv_class  # class, when statically known
         self.recv_call = recv_call  # CallSite whose result is the
         #                             receiver: `g(...).f()`
+        self.recv_elem = recv_elem  # the receiver is `recv[...]`
         self.line = line
         self.idx = idx            # index into the file's code tokens
 
@@ -248,6 +254,7 @@ class FileModel:
         self.reserved = set()      # receivers .reserve()d in this file
         self.member_types = {}     # (class, member name) -> type name
         self.member_decls = {}     # (class, member) -> (relpath, line)
+        self.member_elems = {}     # (class, member) -> element type
         self.bases = {}            # class -> tuple of base-class names
 
 
@@ -284,13 +291,32 @@ def match_back(code, i, open_t, close_t):
     return -1
 
 
+def _elem_type(code, q):
+    """Element type T of the ELEM_CONTAINERS template whose argument
+    list opens at code[q] (`vector<T>`, `array<const ns::T, N>`), or
+    None when the container is another one or T is not a plain name."""
+    if q < 1 or code[q - 1].text not in ELEM_CONTAINERS:
+        return None
+    k = q + 1
+    if k < len(code) and code[k].text == "const":
+        k += 1
+    while k + 2 < len(code) and code[k].kind == "id" and \
+            code[k + 1].text == "::":
+        k += 2
+    if k + 1 < len(code) and code[k].kind == "id" and \
+            code[k + 1].text in (",", ">"):
+        return code[k].text
+    return None
+
+
 def _receiver_of(code, i):
-    """Receiver spelling + known class for a call at code[i] preceded
-    by '.'/'->' at i-1. Handles `x.f()`, `xs_[i].f()`, and
-    `Cls::instance().f()` (returns class Cls)."""
+    """Receiver spelling, known class and whether the receiver is an
+    element `recv[...]`, for a call at code[i] preceded by '.'/'->' at
+    i-1. Handles `x.f()`, `xs_[i].f()`, and `Cls::instance().f()`
+    (returns class Cls)."""
     j = i - 2
     if j < 0:
-        return "", None
+        return "", None, False
     t = code[j].text
     if t == "]":  # xs_[i].f()
         depth = 1
@@ -301,8 +327,9 @@ def _receiver_of(code, i):
             elif code[j].text == "[":
                 depth -= 1
             j -= 1
-        return (code[j].text if j >= 0 and code[j].kind == "id"
-                else ""), None
+        if j >= 0 and code[j].kind == "id":
+            return code[j].text, None, True
+        return "", None, False
     if t == ")":  # g(...).f() — look for Cls::instance()
         depth = 1
         j -= 1
@@ -316,20 +343,21 @@ def _receiver_of(code, i):
                 and code[j].text == "instance"
                 and code[j - 1].text == "::" and j >= 2
                 and code[j - 2].kind == "id"):
-            return "", code[j - 2].text
-        return "", None
+            return "", code[j - 2].text, False
+        return "", None, False
     if code[j].kind == "id":
-        return code[j].text, None
-    return "", None
+        return code[j].text, None, False
+    return "", None, False
 
 
 def _call_site(code, i, fn):
     """The CallSite of the call whose callee spelling is code[i] (the
     next token is its '('), made inside `fn`."""
     recv, recv_class, quals, recv_call = "", None, (), None
+    recv_elem = False
     prev = code[i - 1].text
     if prev in (".", "->"):
-        recv, recv_class = _receiver_of(code, i)
+        recv, recv_class, recv_elem = _receiver_of(code, i)
         recv_class = fn.aliases.get(recv, recv_class)
         if code[i - 2].text == ")" and recv_class is None:
             callee = match_back(code, i - 2, "(", ")") - 1
@@ -338,7 +366,7 @@ def _call_site(code, i, fn):
     elif prev == "::":
         quals = _qual_chain(code, i)
     return CallSite(code[i].text, quals, recv, recv_class, code[i].line,
-                    i, recv_call)
+                    i, recv_call, recv_elem)
 
 
 def _qual_chain(code, i):
@@ -518,15 +546,16 @@ def build_file_model(relpath, tokens):
             p = i - 1
             if code[p].text in ("*", "&"):
                 p -= 1
-            mtype = None
+            mtype = elem = None
             if p >= 1 and code[p].text in (">", ">>"):
                 # Template-typed member: `std::vector<T> name;`. The
                 # recorded type is the template head (`vector`) —
-                # enough for P2's field walks; resolve() ignores
-                # it because no class is spelled that way.
+                # enough for P2's field walks; resolve() types the
+                # elements of a vector or array from T instead.
                 q = match_back(code, p, "<", ">")
                 if q >= 1 and code[q - 1].kind == "id":
                     mtype = code[q - 1].text
+                    elem = _elem_type(code, q)
             elif p >= 0 and code[p].kind == "id" and \
                     (code[p].text not in KEYWORDS or
                      code[p].text in BUILTIN_TYPES) and \
@@ -548,6 +577,8 @@ def build_file_model(relpath, tokens):
                     fm.member_types[(cur_class(), t)] = mtype
                     fm.member_decls.setdefault(
                         (cur_class(), t), (relpath, tok.line))
+                    if elem is not None:
+                        fm.member_elems[(cur_class(), t)] = elem
 
         # Function definitions only at namespace/class scope.
         in_body = cur_func() is not None
@@ -734,6 +765,7 @@ class Program:
         self.reserved = set()
         self.member_types = {}  # (class, member) -> declared type
         self.member_decls = {}  # (class, member) -> (relpath, line)
+        self.member_elems = {}  # (class, member) -> element type
         self.bases = {}         # class -> direct base-class names
         for fm in files.values():
             self.funcs.extend(fm.funcs)
@@ -741,9 +773,10 @@ class Program:
             self.reserved |= fm.reserved
             self.member_types.update(fm.member_types)
             self.member_decls.update(fm.member_decls)
+            self.member_elems.update(fm.member_elems)
             self.bases.update(fm.bases)
         self.classes = set()
-        self._decls = {}  # id(FuncDef) -> {param/local name: type}
+        self._decls = {}  # id(FuncDef) -> ({name: type}, {name: elem})
         for fn in self.funcs:
             self.by_qual.setdefault(fn.qual, fn)
             self.by_name.setdefault(fn.name, []).append(fn)
@@ -784,6 +817,14 @@ class Program:
                 return mt
         return None
 
+    def member_elem(self, cls, member):
+        """Element type of the vector/array member nearest `cls` in
+        its base chain, or None."""
+        for c in self.base_chain(cls):
+            if (c, member) in self.member_types:
+                return self.member_elems.get((c, member))
+        return None
+
     def members_of(self, cls):
         """Every declared member of `cls`, inherited ones included:
         name -> (type, relpath, line). Nearest declaration wins."""
@@ -801,35 +842,51 @@ class Program:
         `fn`: a class name (a template's head for `std::vector<T> v`),
         "auto", or "" when the spelling names no type. None when `fn`
         declares no such name, or declares it with different types."""
-        decls = self._decls.get(id(fn))
-        if decls is None:
-            decls = self._decls[id(fn)] = self._parse_decls(fn)
-        return decls.get(name)
+        return self._decl_tables(fn)[0].get(name)
+
+    def elem_type(self, fn, name):
+        """Element type T of `name` in `fn` when it is declared a
+        `std::vector<T>` or `std::array<T, N>`: a parameter or local
+        of `fn` first, as in C++ scoping, then a member of its class.
+        None when unknown."""
+        types, elems = self._decl_tables(fn)
+        if name in types:
+            return elems.get(name)
+        return self.member_elem(fn.cls, name) if fn.cls else None
+
+    def _decl_tables(self, fn):
+        tables = self._decls.get(id(fn))
+        if tables is None:
+            tables = self._decls[id(fn)] = self._parse_decls(fn)
+        return tables
 
     def _parse_decls(self, fn):
         code = self.files[fn.relpath].code
-        decls = {}
+        decls, elems = {}, {}
 
-        def record(name, ptype):
-            if decls.get(name, ptype) != ptype:
-                ptype = None  # redeclared with another type
+        def record(name, ptype, elem=None):
+            if decls.get(name, ptype) != ptype or \
+                    elems.get(name, elem) != elem:
+                ptype = elem = None  # redeclared with another type
             decls[name] = ptype
+            elems[name] = elem
 
         def type_before(toks, p):
-            """Type spelled right before toks[p + 1], or None."""
+            """(type, element type) spelled right before toks[p + 1];
+            None for what is not spelled."""
             while p >= 0 and toks[p].text in ("*", "&", "&&", "const"):
                 p -= 1
             if p >= 0 and toks[p].text in (">", ">>"):
                 q = match_back(toks, p, "<", ">")
                 if q >= 1 and toks[q - 1].kind == "id":
-                    return toks[q - 1].text
-                return None
+                    return toks[q - 1].text, _elem_type(toks, q)
+                return None, None
             if p >= 0 and toks[p].kind == "id" and (
                     toks[p].text not in KEYWORDS or
                     toks[p].text == "auto" or
                     toks[p].text in BUILTIN_TYPES):
-                return toks[p].text
-            return None
+                return toks[p].text, None
+            return None, None
 
         # Parameters: the last identifier of each top-level segment.
         if fn.sig is not None:
@@ -852,8 +909,8 @@ class Program:
                 ids = [i for i, c in enumerate(seg)
                        if c.kind == "id" and c.text not in KEYWORDS]
                 if ids and ids[-1] > 0:
-                    ptype = type_before(seg, ids[-1] - 1)
-                    record(seg[ids[-1]].text, ptype or "")
+                    ptype, elem = type_before(seg, ids[-1] - 1)
+                    record(seg[ids[-1]].text, ptype or "", elem)
                 seg = []
         # Locals: `Type name` followed by = ; { ( or a range-for colon.
         start, end = fn.body
@@ -862,7 +919,7 @@ class Program:
             if tok.kind != "id" or tok.text in KEYWORDS or \
                     code[k + 1].text not in ("=", ";", "{", "(", ":"):
                 continue
-            ltype = type_before(code, k - 1)
+            ltype, elem = type_before(code, k - 1)
             # `auto p = [std::]make_unique<Cls>(...)`: p->f() is Cls::f.
             m = k + 2
             if code[m].text == "std" and code[m + 1].text == "::":
@@ -873,8 +930,8 @@ class Program:
                     code[m + 2].kind == "id" and code[m + 3].text == ">":
                 ltype = code[m + 2].text
             if ltype is not None:
-                record(tok.text, ltype)
-        return decls
+                record(tok.text, ltype, elem)
+        return decls, elems
 
     def resolve(self, call, caller):
         """CallSite -> FuncDef or None. Edges only when attribution
@@ -882,6 +939,19 @@ class Program:
         if call.recv_class:
             return self.by_qual.get(f"{call.recv_class}::{call.name}")
         cands = self.by_name.get(call.name, [])
+        # An element of a declared vector or array: `m[i].f()`,
+        # `m.at(i).f()`, `m.front().f()`, `m.back().f()` is T::f.
+        rc = call.recv_call
+        if call.recv_elem:
+            et = self.elem_type(caller, call.recv)
+        elif rc is not None and rc.name in ELEM_ACCESSORS and \
+                rc.recv and not rc.recv_elem and not rc.quals:
+            et = self.elem_type(caller, rc.recv)
+        else:
+            et = None
+        if et is not None:
+            return (self.by_qual.get(f"{et}::{call.name}")
+                    if et in self.classes else None)
         if call.recv_call is not None:
             # `g(...).f()`: f of the class g is declared to return.
             g = self.resolve(call.recv_call, caller)
