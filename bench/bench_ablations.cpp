@@ -94,9 +94,10 @@ main(int argc, char **argv)
     uopts.txns = cfg.txns;
     uopts.tlsBuild = false;
     uopts.parallelMode = true; // naive parallelization attempt
-    sim::BenchmarkTraces untuned;
-    untuned.tls = tpcc::captureBenchmark(tpcc::TxnType::NewOrder, uopts);
-    untuned.buildIndexes(cfg.machine.mem.lineBytes);
+    const sim::BenchmarkTraces untuned(
+        WorkloadTrace{},
+        tpcc::captureBenchmark(tpcc::TxnType::NewOrder, uopts),
+        cfg.machine.mem.lineBytes);
 
     // ----- job registration (results land by index) -------------------
     struct Job

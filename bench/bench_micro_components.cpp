@@ -300,21 +300,17 @@ BENCHMARK(BM_MachineReplay);
  * oracle must change only the records/second rate, never the results
  * (tests/sim/goldenequiv_test.cc enforces the latter).
  */
-sim::BenchmarkTraces &
+const sim::BenchmarkTraces &
 quickTraces(tpcc::TxnType type)
 {
-    static std::unordered_map<unsigned,
-                              std::unique_ptr<sim::BenchmarkTraces>>
-        cache;
-    auto &slot = cache[static_cast<unsigned>(type)];
+    static std::unordered_map<unsigned, sim::SharedTraces> cache;
+    sim::SharedTraces &slot = cache[static_cast<unsigned>(type)];
     if (!slot) {
         sim::ExperimentConfig cfg;
         cfg.scale = tpcc::TpccConfig::tiny();
         cfg.txns = 4;
         cfg.warmupTxns = 1;
-        slot = std::make_unique<sim::BenchmarkTraces>(
-            sim::captureTraces(type, cfg));
-        slot->buildIndexes(cfg.machine.mem.lineBytes);
+        slot = sim::captureTracesShared(type, cfg);
     }
     return *slot;
 }
@@ -322,7 +318,7 @@ quickTraces(tpcc::TxnType type)
 void
 BM_ReplayTpcc(benchmark::State &state, tpcc::TxnType type)
 {
-    sim::BenchmarkTraces &traces = quickTraces(type);
+    const sim::BenchmarkTraces &traces = quickTraces(type);
     MachineConfig cfg;
     cfg.tls.useConflictOracle = state.range(0) != 0;
     TlsMachine m(cfg);

@@ -10,6 +10,7 @@
 #include "sim/executor.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
+#include "sim/tracecache.h"
 
 using namespace tlsim;
 
@@ -33,12 +34,11 @@ main()
 
     // Capture the workload once, analyse it, then replay all five
     // bars across the host's cores.
-    sim::BenchmarkTraces traces =
-        sim::captureTraces(tpcc::TxnType::NewOrder, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
+    const sim::SharedTraces traces =
+        sim::captureTracesShared(tpcc::TxnType::NewOrder, cfg);
     sim::SimExecutor ex;
     sim::Figure5Row row =
-        sim::runFigure5(tpcc::TxnType::NewOrder, cfg, traces, ex);
+        sim::runFigure5(tpcc::TxnType::NewOrder, cfg, *traces, ex);
     sim::printFigure5Row(std::cout, row);
 
     std::cout << "NEW ORDER speedup with sub-threads: "

@@ -13,6 +13,7 @@
 
 #include "sim/experiment.h"
 #include "sim/report.h"
+#include "sim/tracecache.h"
 
 using namespace tlsim;
 
@@ -30,9 +31,10 @@ main()
 
     std::cout << "Sub-thread count/spacing sweep on DELIVERY OUTER\n\n";
 
-    sim::BenchmarkTraces traces =
-        sim::captureTraces(tpcc::TxnType::DeliveryOuter, cfg);
-    RunResult seq = sim::runBar(sim::Bar::Sequential, traces, cfg);
+    // One capture and one analysis, shared by every machine below.
+    const sim::SharedTraces traces =
+        sim::captureTracesShared(tpcc::TxnType::DeliveryOuter, cfg);
+    RunResult seq = sim::runBar(sim::Bar::Sequential, *traces, cfg);
 
     std::vector<sim::SweepPoint> points;
     for (unsigned k : {2u, 4u, 8u}) {
@@ -43,8 +45,8 @@ main()
             mc.tls.subthreadSpacing = s;
             TlsMachine m(mc);
             points.push_back(
-                {k, s, m.run(traces.tls, ExecMode::Tls,
-                             cfg.warmupTxns)});
+                {k, s, m.run(traces->tls, ExecMode::Tls, cfg.warmupTxns,
+                             traces->tlsIndex.get())});
         }
     }
     sim::printFigure6(std::cout, "DELIVERY OUTER", points,
@@ -54,7 +56,8 @@ main()
     MachineConfig adaptive = cfg.machine;
     adaptive.tls.adaptiveSpacing = true;
     TlsMachine m(adaptive);
-    RunResult r = m.run(traces.tls, ExecMode::Tls, cfg.warmupTxns);
+    RunResult r = m.run(traces->tls, ExecMode::Tls, cfg.warmupTxns,
+                        traces->tlsIndex.get());
     std::printf("adaptive spacing (size/k): normalized time %.3f "
                 "(%llu sub-threads started)\n",
                 static_cast<double>(r.makespan) /

@@ -1,6 +1,7 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
+#include <filesystem>
 
 #include "base/log.h"
 #include "base/stats.h"
@@ -43,49 +44,38 @@ ExperimentConfig::testPreset()
     return cfg;
 }
 
-void
-BenchmarkTraces::buildIndexes(unsigned line_bytes)
+namespace {
+
+/**
+ * The index of `w` for `line_bytes`-byte lines. With a `stem`, it is
+ * loaded from `<stem><suffix>` if that file matches `w`, else built and
+ * saved there.
+ */
+std::unique_ptr<const TraceIndex>
+indexFor(const WorkloadTrace &w, unsigned line_bytes,
+         const std::string &stem, const char *suffix)
 {
-    if (!originalIndex || !originalIndex->matches(&original, line_bytes))
-        originalIndex =
-            std::make_shared<const TraceIndex>(original, line_bytes);
-    if (!tlsIndex || !tlsIndex->matches(&tls, line_bytes))
-        tlsIndex = std::make_shared<const TraceIndex>(tls, line_bytes);
+    const std::string path = stem.empty() ? "" : stem + suffix;
+    if (!path.empty() && std::filesystem::exists(path))
+        if (std::unique_ptr<const TraceIndex> idx =
+                TraceIndex::loadFile(path, w, line_bytes))
+            return idx;
+    auto idx = std::make_unique<const TraceIndex>(w, line_bytes);
+    if (!path.empty())
+        idx->saveFile(path);
+    return idx;
 }
 
-BenchmarkTraces
-captureTraces(tpcc::TxnType type, const ExperimentConfig &cfg,
-              const std::string &db_image)
+} // namespace
+
+BenchmarkTraces::BenchmarkTraces(WorkloadTrace orig_trace,
+                                 WorkloadTrace tls_trace,
+                                 unsigned line_bytes,
+                                 const std::string &idx_stem)
+    : original(std::move(orig_trace)), tls(std::move(tls_trace)),
+      originalIndex(indexFor(original, line_bytes, idx_stem, ".orig.idx")),
+      tlsIndex(indexFor(tls, line_bytes, idx_stem, ".tls.idx"))
 {
-    BenchmarkTraces out;
-
-    tpcc::CaptureOptions orig;
-    orig.txns = cfg.txns;
-    orig.tlsBuild = false;
-    orig.parallelMode = false;
-    orig.inputSeed = cfg.inputSeed;
-    orig.loadSeed = cfg.loadSeed;
-    orig.scale = cfg.scale;
-    orig.dbImage = db_image;
-    out.original = tpcc::captureBenchmark(type, orig);
-
-    tpcc::CaptureOptions tls = orig;
-    tls.tlsBuild = true;
-    tls.parallelMode = true;
-    tls.spawnOverheadInsts = cfg.machine.tls.spawnOverheadInsts;
-    out.tls = tpcc::captureBenchmark(type, tls);
-
-    return out;
-}
-
-ResultMemo &
-ResultMemo::operator=(const ResultMemo &other)
-{
-    if (this != &other) {
-        MutexLock lk(mtx_);
-        entries_.clear();
-    }
-    return *this;
 }
 
 RunResult
@@ -182,32 +172,24 @@ effectiveConfig(const MachineConfig &mc, ExecMode mode,
 } // namespace
 
 RunResult
-simulate(const BenchmarkTraces &traces, TraceBuild which,
-         const MachineConfig &machine, ExecMode mode, unsigned warmup)
-{
-    TlsMachine::checkConfig(machine);
-    const bool orig = which == TraceBuild::Original;
-    const WorkloadTrace &trace = orig ? traces.original : traces.tls;
-    const std::shared_ptr<const TraceIndex> &index =
-        orig ? traces.originalIndex : traces.tlsIndex;
-
-    if (!index || !index->matches(&trace, machine.mem.lineBytes)) {
-        stats::GlobalCounters::instance().add("sim.memo.miss");
-        TlsMachine m(machine);
-        return verify::runWithAudit(m, trace, mode, warmup);
-    }
-    const ResultMemo::Key key{&trace, index, mode, warmup,
-                              effectiveConfig(machine, mode, trace)};
-    return traces.results.getOrRun(key, [&] {
-        TlsMachine m(key.machine);
-        return verify::runWithAudit(m, trace, mode, warmup, index.get());
-    });
-}
-
-RunResult
 simulate(const BenchmarkTraces &traces, const SimPoint &p)
 {
-    return simulate(traces, p.build, p.machine, p.mode, p.warmup);
+    TlsMachine::checkConfig(p.machine);
+    const bool orig = p.build == TraceBuild::Original;
+    const WorkloadTrace &trace = orig ? traces.original : traces.tls;
+    const TraceIndex &index =
+        orig ? *traces.originalIndex : *traces.tlsIndex;
+    if (p.machine.mem.lineBytes != index.lineBytes())
+        fatal("simulate: a machine with %u-byte lines over traces "
+              "indexed for %u-byte lines",
+              p.machine.mem.lineBytes, index.lineBytes());
+
+    const ResultMemo::Key key{p.build, p.mode, p.warmup,
+                              effectiveConfig(p.machine, p.mode, trace)};
+    return traces.results.getOrRun(key, [&] {
+        TlsMachine m(key.machine);
+        return verify::runWithAudit(m, trace, p.mode, p.warmup, &index);
+    });
 }
 
 SimPoint

@@ -9,6 +9,11 @@
  *  - Figure 6: the sub-thread count x spacing sweep;
  *  - Table 2: benchmark statistics from the captured traces and the
  *    sequential run.
+ *
+ * Each benchmark is captured once into a BenchmarkTraces (made by
+ * captureTracesShared(), sim/tracecache.h): both workloads, their
+ * indexes and a memo of the points already run. Every artifact replays
+ * it through the one simulate().
  */
 
 #ifndef SIM_EXPERIMENT_H
@@ -26,6 +31,7 @@
 #include "base/threadannot.h"
 #include "core/machine.h"
 #include "core/trace.h"
+#include "core/traceindex.h"
 #include "tpcc/tpcc.h"
 
 namespace tlsim {
@@ -53,20 +59,17 @@ enum class TraceBuild {
 
 /**
  * The results of the simulation points already run over one capture
- * (see simulate()). Thread-safe: executor tasks share it through a
- * const BenchmarkTraces. A copy starts empty, because the entries are
- * keyed by the addresses of the traces they were run on.
+ * (see simulate()). It lives inside the BenchmarkTraces it serves, so
+ * a key needs no trace identity. Thread-safe: executor tasks share it
+ * through a const BenchmarkTraces.
  */
 class ResultMemo
 {
   public:
-    /** Everything a run's result depends on. */
+    /** Everything a run's result depends on, given the capture. */
     struct Key
     {
-        const WorkloadTrace *trace = nullptr;
-        /** Identity only. Holding it keeps the index alive, so a
-         *  rebuilt index can never reuse this one's address. */
-        std::shared_ptr<const TraceIndex> index;
+        TraceBuild build = TraceBuild::Tls;
         ExecMode mode = ExecMode::Serial;
         unsigned warmup = 0;
         MachineConfig machine;
@@ -74,10 +77,6 @@ class ResultMemo
         /** Defaulted, so no field can be left out of the match. */
         bool operator==(const Key &) const = default;
     };
-
-    ResultMemo() = default;
-    ResultMemo(const ResultMemo &) {}
-    ResultMemo &operator=(const ResultMemo &other) TLSIM_EXCLUDES(mtx_);
 
     /**
      * The result for `key`: `run()` computes it on the first call and
@@ -110,26 +109,39 @@ class ResultMemo
     std::vector<Entry> entries_ TLSIM_GUARDED_BY(mtx_);
 };
 
-/** The two captures a benchmark needs. */
+/**
+ * The two captures a benchmark needs, their pre-analyses and the
+ * results already simulated over them: the one object every
+ * simulation point of the benchmark replays. It is built once, always
+ * indexed, and never changed, copied or moved, so the indexes (which
+ * reference their workloads by address) and the result memo stay
+ * valid for its whole life. captureTracesShared() makes one.
+ */
 struct BenchmarkTraces
 {
-    WorkloadTrace original; ///< untuned DB, no markers (SEQUENTIAL)
-    WorkloadTrace tls;      ///< tuned DB + markers (all other bars)
+    /**
+     * Take both workloads and index them for `line_bytes`-byte lines.
+     * With an `idx_stem` (the trace cache's), an index file
+     * `<idx_stem>.{orig,tls}.idx` that matches its workload is loaded,
+     * and each index built instead is saved there.
+     */
+    BenchmarkTraces(WorkloadTrace original, WorkloadTrace tls,
+                    unsigned line_bytes,
+                    const std::string &idx_stem = "");
+
+    BenchmarkTraces(const BenchmarkTraces &) = delete;
+    BenchmarkTraces &operator=(const BenchmarkTraces &) = delete;
+
+    const WorkloadTrace original; ///< untuned DB, no markers (SEQUENTIAL)
+    const WorkloadTrace tls;      ///< tuned DB + markers (all other bars)
 
     /**
      * Trace pre-analyses, shared read-only by every simulation point
      * that replays the corresponding workload (the analysis depends
      * only on the trace and the line size, not on any TLS knob).
-     * Null until buildIndexes() — runBar() and the machine tolerate
-     * that by building a private index, but then the work repeats per
-     * run instead of once per capture.
      */
-    std::shared_ptr<const TraceIndex> originalIndex;
-    std::shared_ptr<const TraceIndex> tlsIndex;
-
-    /** Analyse both workloads (no-op if already built for this
-     *  object; must be re-run if the traces are moved/reassigned). */
-    void buildIndexes(unsigned line_bytes);
+    const std::unique_ptr<const TraceIndex> originalIndex;
+    const std::unique_ptr<const TraceIndex> tlsIndex;
 
     /** Results of simulate() over these traces, filled on demand. */
     mutable ResultMemo results;
@@ -149,24 +161,23 @@ struct ExperimentConfig
     static ExperimentConfig testPreset();
 };
 
-/**
- * Capture both traces for a benchmark. Both captures open the
- * database image `db_image` if it is valid, else the first one loads
- * afresh and writes it (tpcc::CaptureOptions::dbImage). Empty: both
- * load afresh.
- */
-BenchmarkTraces captureTraces(tpcc::TxnType type,
-                              const ExperimentConfig &cfg,
-                              const std::string &db_image = "");
+/** One simulation point: what simulate() replays, and how. */
+struct SimPoint
+{
+    TraceBuild build = TraceBuild::Tls;
+    MachineConfig machine;
+    ExecMode mode = ExecMode::Tls;
+    unsigned warmup = 0;
+};
 
 /**
- * Run one simulation point: `which` capture of `traces`, replayed on
- * `machine` in `mode` with `warmup` warm-up transactions. Every
- * experiment below simulates through here, so a point that another
- * artifact (or another bar) already ran over the same traces is
- * served from BenchmarkTraces::results instead of being replayed
- * again; hits and runs count as "sim.memo.hit"/"sim.memo.miss" in
- * stats::GlobalCounters.
+ * Run one simulation point: the `p.build` capture of `traces`,
+ * replayed on `p.machine` in `p.mode` with `p.warmup` warm-up
+ * transactions. Every experiment below simulates through here, so a
+ * point that another artifact (or another bar) already ran over the
+ * same traces is served from BenchmarkTraces::results instead of being
+ * replayed again; hits and runs count as "sim.memo.hit"/"sim.memo.miss"
+ * in stats::GlobalCounters.
  *
  * Points that cannot differ share one entry: for ExecMode::Tls with
  * fixed spacing (no adaptiveSpacing, no riskPlacement), the key's
@@ -179,24 +190,10 @@ BenchmarkTraces captureTraces(tpcc::TxnType type,
  * reduced configuration is what runs, so the result of a key does not
  * depend on which of its points came first.
  *
- * An invalid `machine` dies in TlsMachine::checkConfig before any of
- * this. Without a built index for the trace (buildIndexes()) the
- * point runs directly and is not stored.
+ * An invalid `p.machine` dies in TlsMachine::checkConfig before any of
+ * this, and one whose line size differs from the indexes' dies in
+ * fatal().
  */
-RunResult simulate(const BenchmarkTraces &traces, TraceBuild which,
-                   const MachineConfig &machine, ExecMode mode,
-                   unsigned warmup);
-
-/** One simulation point: what simulate() replays, and how. */
-struct SimPoint
-{
-    TraceBuild build = TraceBuild::Tls;
-    MachineConfig machine;
-    ExecMode mode = ExecMode::Tls;
-    unsigned warmup = 0;
-};
-
-/** simulate() of `p`. */
 RunResult simulate(const BenchmarkTraces &traces, const SimPoint &p);
 
 /** The point behind one Figure 5 bar under `cfg`. */

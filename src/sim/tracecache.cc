@@ -2,11 +2,11 @@
 
 #include <filesystem>
 #include <memory>
+#include <utility>
 
 #include "base/log.h"
 #include "base/stats.h"
 #include "base/sync.h"
-#include "core/traceindex.h"
 #include "sim/traceio.h"
 
 namespace tlsim {
@@ -91,35 +91,34 @@ dbImagePath(const std::string &cache_dir, const ExperimentConfig &cfg)
 namespace {
 
 /**
- * Attach pre-analysis indexes to freshly loaded/captured traces,
- * reusing the `.idx` files cached alongside the trace pair when they
- * match. Must run after `traces` holds its final workloads (the index
- * references its source workload by address).
+ * Capture both traces for a benchmark: {original, tls}. Both captures
+ * open the database image `db_image` if it is valid, else the first
+ * one loads afresh and writes it (tpcc::CaptureOptions::dbImage).
+ * Empty: both load afresh.
  */
-void
-attachIndexes(BenchmarkTraces &traces, unsigned line_bytes,
-              const std::string &stem)
+std::pair<WorkloadTrace, WorkloadTrace>
+captureWorkloads(tpcc::TxnType type, const ExperimentConfig &cfg,
+                 const std::string &db_image)
 {
-    namespace fs = std::filesystem;
-    std::string orig_path = stem + ".orig.idx";
-    std::string tls_path = stem + ".tls.idx";
+    std::pair<WorkloadTrace, WorkloadTrace> out;
 
-    if (fs::exists(orig_path))
-        traces.originalIndex = TraceIndex::loadFile(
-            orig_path, traces.original, line_bytes);
-    if (fs::exists(tls_path))
-        traces.tlsIndex =
-            TraceIndex::loadFile(tls_path, traces.tls, line_bytes);
-    if (traces.originalIndex && traces.tlsIndex)
-        return;
+    tpcc::CaptureOptions orig;
+    orig.txns = cfg.txns;
+    orig.tlsBuild = false;
+    orig.parallelMode = false;
+    orig.inputSeed = cfg.inputSeed;
+    orig.loadSeed = cfg.loadSeed;
+    orig.scale = cfg.scale;
+    orig.dbImage = db_image;
+    out.first = tpcc::captureBenchmark(type, orig);
 
-    bool save_orig = !traces.originalIndex;
-    bool save_tls = !traces.tlsIndex;
-    traces.buildIndexes(line_bytes);
-    if (save_orig)
-        traces.originalIndex->saveFile(orig_path);
-    if (save_tls)
-        traces.tlsIndex->saveFile(tls_path);
+    tpcc::CaptureOptions tls = orig;
+    tls.tlsBuild = true;
+    tls.parallelMode = true;
+    tls.spawnOverheadInsts = cfg.machine.tls.spawnOverheadInsts;
+    out.second = tpcc::captureBenchmark(type, tls);
+
+    return out;
 }
 
 } // namespace
@@ -128,13 +127,14 @@ SharedTraces
 captureTracesShared(tpcc::TxnType type, const ExperimentConfig &cfg,
                     const std::string &cache_dir)
 {
-    unsigned line_bytes = cfg.machine.mem.lineBytes;
+    const unsigned line_bytes = cfg.machine.mem.lineBytes;
     if (cache_dir.empty()) {
+        auto [orig, tls] = captureWorkloads(type, cfg, "");
+        // Counted after the capture: the first count of a name
+        // allocates, and a capture records heap addresses.
         stats::GlobalCounters::instance().add("tracecache.bypass");
-        auto traces = std::make_shared<BenchmarkTraces>(
-            captureTraces(type, cfg));
-        traces->buildIndexes(line_bytes);
-        return traces;
+        return std::make_shared<const BenchmarkTraces>(
+            std::move(orig), std::move(tls), line_bytes);
     }
 
     namespace fs = std::filesystem;
@@ -148,36 +148,37 @@ captureTracesShared(tpcc::TxnType type, const ExperimentConfig &cfg,
     // load the files it finished writing.
     MutexLock stem_lock(StemLocks::instance().forStem(stem));
 
+    std::error_code ec;
     if (fs::exists(orig_path) && fs::exists(tls_path)) {
-        auto traces = std::make_shared<BenchmarkTraces>();
         WorkloadTrace orig, tls;
         if (loadTraceFile(orig_path, &orig) &&
             loadTraceFile(tls_path, &tls)) {
-            traces->original = std::move(orig);
-            traces->tls = std::move(tls);
-            attachIndexes(*traces, line_bytes, stem);
+            auto traces = std::make_shared<const BenchmarkTraces>(
+                std::move(orig), std::move(tls), line_bytes, stem);
             stats::GlobalCounters::instance().add("tracecache.hit");
             return traces;
         }
         inform("trace cache: %s has a foreign format, re-capturing",
                stem.c_str());
+        // Its indexes describe the traces being replaced.
+        fs::remove(stem + ".orig.idx", ec);
+        fs::remove(stem + ".tls.idx", ec);
     }
 
-    std::error_code ec;
     fs::create_directories(cache_dir, ec);
     if (ec)
         fatal("trace cache: cannot create directory %s: %s",
               cache_dir.c_str(), ec.message().c_str());
 
     stats::GlobalCounters::instance().add("tracecache.capture");
-    auto traces = std::make_shared<BenchmarkTraces>(
-        captureTraces(type, cfg, dbImagePath(cache_dir, cfg)));
-    saveTraceFile(orig_path, traces->original);
-    saveTraceFile(tls_path, traces->tls);
-    traces->buildIndexes(line_bytes);
-    traces->originalIndex->saveFile(stem + ".orig.idx");
-    traces->tlsIndex->saveFile(stem + ".tls.idx");
-    return traces;
+    auto [orig, tls] =
+        captureWorkloads(type, cfg, dbImagePath(cache_dir, cfg));
+    // The traces are written before their indexes, so an index file
+    // never sits beside traces it was not built from.
+    saveTraceFile(orig_path, orig);
+    saveTraceFile(tls_path, tls);
+    return std::make_shared<const BenchmarkTraces>(
+        std::move(orig), std::move(tls), line_bytes, stem);
 }
 
 } // namespace sim

@@ -3,6 +3,9 @@
  * On-disk cache of captured benchmark traces, keyed by everything that
  * influences a capture (benchmark, TPC-C scale, transaction count,
  * seeds, spawn overhead, trace format version).
+ * captureTracesShared() is the one capture entry point: with a cache
+ * directory or without one, it returns an indexed BenchmarkTraces, and
+ * the cache keeps both indexes beside the traces as `.idx` files.
  *
  * Capture (data load + native transaction execution) dominates short
  * experiments, and every bench binary used to re-capture identical
@@ -44,7 +47,8 @@
 namespace tlsim {
 namespace sim {
 
-/** Captured traces shared read-only across simulation points. */
+/** Captured, indexed traces shared read-only across simulation
+ *  points, and by every artifact that replays them. */
 using SharedTraces = std::shared_ptr<const BenchmarkTraces>;
 
 /**
@@ -64,13 +68,15 @@ std::string dbImagePath(const std::string &cache_dir,
                         const ExperimentConfig &cfg);
 
 /**
- * Capture both traces of a benchmark, through the cache.
+ * Capture both traces of a benchmark and index them: the one way to
+ * make a BenchmarkTraces from TPC-C.
  *
- * With an empty `cache_dir` this is captureTraces() behind a
- * shared_ptr. Otherwise the pair of trace files under
+ * With an empty `cache_dir` both captures load the database afresh
+ * and nothing is written. Otherwise the pair of trace files under
  * `cache_dir/<BENCH>-<key>.{orig,tls}.trace` is loaded if present and
- * valid, else captured and written. The directory is created on
- * demand.
+ * valid, else captured and written, and the indexes beside them,
+ * `<BENCH>-<key>.{orig,tls}.idx`, are loaded if they match, else built
+ * and written. The directory is created on demand.
  */
 SharedTraces captureTracesShared(tpcc::TxnType type,
                                  const ExperimentConfig &cfg,

@@ -14,6 +14,7 @@
 #include "core/critpath/analyzer.h"
 #include "core/critpath/graph.h"
 #include "sim/experiment.h"
+#include "sim/tracecache.h"
 #include "verify/auditor.h"
 
 namespace tlsim {
@@ -37,9 +38,9 @@ TEST(CritpathAuditBand, NewOrderPredictionHoldsUnderFullAudit)
     c.warmupTxns = 1;
     c.machine.tls.auditLevel = AuditLevel::Full;
 
-    sim::BenchmarkTraces traces =
-        sim::captureTraces(tpcc::TxnType::NewOrder, c);
-    traces.buildIndexes(c.machine.mem.lineBytes);
+    const sim::SharedTraces shared =
+        sim::captureTracesShared(tpcc::TxnType::NewOrder, c);
+    const sim::BenchmarkTraces &traces = *shared;
 
     DepGraph g(traces.tls, *traces.tlsIndex, c.machine);
     Analyzer an(g);

@@ -20,6 +20,7 @@
 #include "core/critpath/analyzer.h"
 #include "core/critpath/graph.h"
 #include "sim/experiment.h"
+#include "sim/tracecache.h"
 
 namespace tlsim {
 namespace {
@@ -68,9 +69,8 @@ class CritpathGate : public ::testing::TestWithParam<tpcc::TxnType>
 TEST_P(CritpathGate, CalibratedPredictionWithinBand)
 {
     sim::ExperimentConfig c = gateCfg();
-    sim::BenchmarkTraces traces =
-        sim::captureTraces(GetParam(), c);
-    traces.buildIndexes(c.machine.mem.lineBytes);
+    const sim::SharedTraces shared = sim::captureTracesShared(GetParam(), c);
+    const sim::BenchmarkTraces &traces = *shared;
 
     DepGraph g(traces.tls, *traces.tlsIndex, c.machine);
     Analyzer an(g);

@@ -9,6 +9,7 @@
 
 #include "sim/executor.h"
 #include "sim/experiment.h"
+#include "sim/tracecache.h"
 
 namespace tlsim {
 namespace sim {
@@ -31,10 +32,9 @@ Figure5Row
 figure5(tpcc::TxnType type)
 {
     const ExperimentConfig c = cfg();
-    BenchmarkTraces traces = captureTraces(type, c);
-    traces.buildIndexes(c.machine.mem.lineBytes);
+    const SharedTraces traces = captureTracesShared(type, c);
     SimExecutor ex(1);
-    return runFigure5(type, c, traces, ex);
+    return runFigure5(type, c, *traces, ex);
 }
 
 class AllBenchmarks

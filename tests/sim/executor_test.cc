@@ -15,6 +15,7 @@
 
 #include "sim/executor.h"
 #include "sim/experiment.h"
+#include "sim/tracecache.h"
 
 namespace tlsim {
 namespace sim {
@@ -184,9 +185,12 @@ class ParallelDeterminism
 };
 
 // A fresh capture records raw heap addresses, which differ between
-// captures even within one process, so the serial reference must run
-// over the SAME captured traces as the parallel sweep — exactly the
-// contract the benches rely on (capture once, fan the replays out).
+// captures even within one process, so the serial reference must
+// replay the SAME captured workloads as the parallel sweep — exactly
+// the contract the benches rely on (capture once, fan the replays
+// out). Each leg has its own BenchmarkTraces of those workloads, so
+// the parallel leg runs every point rather than reading the serial
+// leg's results from the memo.
 
 TEST_P(ParallelDeterminism, Figure6ParallelMatchesSerial)
 {
@@ -195,16 +199,18 @@ TEST_P(ParallelDeterminism, Figure6ParallelMatchesSerial)
     const std::vector<unsigned> counts = {2, 8};
     const std::vector<std::uint64_t> spacings = {1000, 5000, 25000};
 
-    BenchmarkTraces traces = captureTraces(type, cfg);
+    const SharedTraces serial_t = captureTracesShared(type, cfg);
+    const BenchmarkTraces par_t(serial_t->original, serial_t->tls,
+                                cfg.machine.mem.lineBytes);
 
     // jobs == 1 runs the sweep inline in index order: the serial path.
     SimExecutor serial_ex(1);
     std::vector<SweepPoint> serial =
-        runFigure6(type, cfg, counts, spacings, traces, serial_ex);
+        runFigure6(type, cfg, counts, spacings, *serial_t, serial_ex);
 
     SimExecutor ex(8);
     std::vector<SweepPoint> parallel =
-        runFigure6(type, cfg, counts, spacings, traces, ex);
+        runFigure6(type, cfg, counts, spacings, par_t, ex);
 
     ASSERT_EQ(serial.size(), counts.size() * spacings.size());
     ASSERT_EQ(serial.size(), parallel.size());
@@ -221,15 +227,17 @@ TEST_P(ParallelDeterminism, Figure5ParallelMatchesSerial)
     tpcc::TxnType type = GetParam();
     ExperimentConfig cfg = ExperimentConfig::testPreset();
 
-    BenchmarkTraces traces = captureTraces(type, cfg);
+    const SharedTraces serial_t = captureTracesShared(type, cfg);
+    const BenchmarkTraces par_t(serial_t->original, serial_t->tls,
+                                cfg.machine.mem.lineBytes);
 
     // Serial reference: the plain bar-by-bar loop, no executor at all.
     std::vector<std::pair<Bar, RunResult>> serial;
     for (Bar bar : allBars())
-        serial.emplace_back(bar, runBar(bar, traces, cfg));
+        serial.emplace_back(bar, runBar(bar, *serial_t, cfg));
 
     SimExecutor ex(8);
-    Figure5Row parallel = runFigure5(type, cfg, traces, ex);
+    Figure5Row parallel = runFigure5(type, cfg, par_t, ex);
 
     ASSERT_EQ(serial.size(), parallel.bars.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

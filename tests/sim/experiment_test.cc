@@ -5,6 +5,7 @@
 #include "sim/artifact.h"
 #include "sim/executor.h"
 #include "sim/experiment.h"
+#include "sim/tracecache.h"
 #include "sim/report.h"
 
 namespace tlsim {
@@ -30,12 +31,11 @@ struct Figure5Fixture : public ::testing::Test
     SetUpTestSuite()
     {
         const ExperimentConfig cfg = smallCfg();
-        BenchmarkTraces traces =
-            captureTraces(tpcc::TxnType::NewOrder, cfg);
-        traces.buildIndexes(cfg.machine.mem.lineBytes);
+        const SharedTraces traces =
+            captureTracesShared(tpcc::TxnType::NewOrder, cfg);
         SimExecutor ex(1);
         row = new Figure5Row(
-            runFigure5(tpcc::TxnType::NewOrder, cfg, traces, ex));
+            runFigure5(tpcc::TxnType::NewOrder, cfg, *traces, ex));
     }
 
     static void
@@ -120,9 +120,9 @@ TEST_F(Figure5Fixture, ReportRendersAllBars)
 TEST(Table2, RowLooksLikeTheWorkload)
 {
     ExperimentConfig cfg = smallCfg();
-    BenchmarkTraces traces = captureTraces(tpcc::TxnType::NewOrder, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
-    Table2Row row = table2Row(tpcc::TxnType::NewOrder, cfg, traces);
+    const SharedTraces traces =
+        captureTracesShared(tpcc::TxnType::NewOrder, cfg);
+    Table2Row row = table2Row(tpcc::TxnType::NewOrder, cfg, *traces);
     EXPECT_GT(row.execMcycles, 0.0);
     EXPECT_GT(row.coverage, 0.4);
     EXPECT_LT(row.coverage, 1.0);
@@ -140,11 +140,11 @@ TEST(Figure6, SweepRunsAllPoints)
 {
     ExperimentConfig cfg = smallCfg();
     cfg.txns = 4;
-    BenchmarkTraces traces = captureTraces(tpcc::TxnType::NewOrder, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
+    const SharedTraces traces =
+        captureTracesShared(tpcc::TxnType::NewOrder, cfg);
     SimExecutor ex(1);
     auto points = runFigure6(tpcc::TxnType::NewOrder, cfg, {2, 8},
-                             {1000, 5000}, traces, ex);
+                             {1000, 5000}, *traces, ex);
     ASSERT_EQ(points.size(), 4u);
     for (const auto &p : points) {
         EXPECT_GT(p.run.makespan, 0u);
@@ -161,11 +161,11 @@ TEST(Figure6, MoreSubthreadsNeverMuchWorse)
     // Paper Section 5.1: adding sub-threads does not hurt.
     ExperimentConfig cfg = smallCfg();
     cfg.txns = 4;
-    BenchmarkTraces traces = captureTraces(tpcc::TxnType::NewOrder, cfg);
-    traces.buildIndexes(cfg.machine.mem.lineBytes);
+    const SharedTraces traces =
+        captureTracesShared(tpcc::TxnType::NewOrder, cfg);
     SimExecutor ex(1);
     auto points = runFigure6(tpcc::TxnType::NewOrder, cfg, {2, 8},
-                             {2000}, traces, ex);
+                             {2000}, *traces, ex);
     ASSERT_EQ(points.size(), 2u);
     double t2 = static_cast<double>(points[0].run.makespan);
     double t8 = static_cast<double>(points[1].run.makespan);

@@ -15,6 +15,8 @@
 #include "base/simd.h"
 #include "cpu/breakdown.h"
 #include "sim/experiment.h"
+#include "sim/tracecache.h"
+#include "verify/auditor.h"
 
 namespace tlsim {
 namespace sim {
@@ -57,14 +59,12 @@ class GoldenEquivTest : public ::testing::Test
   protected:
     static const BenchmarkTraces &traces(tpcc::TxnType type)
     {
-        static BenchmarkTraces new_order =
-            captureTraces(tpcc::TxnType::NewOrder,
-                          ExperimentConfig::testPreset());
-        static BenchmarkTraces stock_level =
-            captureTraces(tpcc::TxnType::StockLevel,
-                          ExperimentConfig::testPreset());
-        return type == tpcc::TxnType::NewOrder ? new_order
-                                               : stock_level;
+        static const SharedTraces new_order = captureTracesShared(
+            tpcc::TxnType::NewOrder, ExperimentConfig::testPreset());
+        static const SharedTraces stock_level = captureTracesShared(
+            tpcc::TxnType::StockLevel, ExperimentConfig::testPreset());
+        return type == tpcc::TxnType::NewOrder ? *new_order
+                                               : *stock_level;
     }
 
     static RunResult
@@ -128,7 +128,9 @@ TEST_F(GoldenEquivTest, AblationKnobsAreOracleInvariant)
  * dispatched kernels (AVX2 where the host has it) and with the scalar
  * reference must produce bit-identical RunResults. The vector kernels
  * may only change how bitmap scans are computed, never what they
- * compute.
+ * compute. simd::setForceScalar is not part of a result memo key, so
+ * each leg runs a fresh machine over the shared index instead of
+ * going through simulate().
  */
 class SimdGoldenTest : public GoldenEquivTest
 {
@@ -139,8 +141,13 @@ class SimdGoldenTest : public GoldenEquivTest
     runScalar(Bar bar, const BenchmarkTraces &t,
               const ExperimentConfig &cfg, bool scalar)
     {
+        const SimPoint p = barPoint(bar, cfg);
+        const bool orig = p.build == TraceBuild::Original;
         simd::setForceScalar(scalar);
-        RunResult r = runBar(bar, t, cfg);
+        TlsMachine m(p.machine);
+        RunResult r = verify::runWithAudit(
+            m, orig ? t.original : t.tls, p.mode, p.warmup,
+            orig ? t.originalIndex.get() : t.tlsIndex.get());
         simd::setForceScalar(false);
         return r;
     }
@@ -174,6 +181,52 @@ TEST_F(SimdGoldenTest, VictimAndSubthreadStressIsSimdInvariant)
     expectSameResult(runScalar(Bar::Baseline, t, cfg, false),
                      runScalar(Bar::Baseline, t, cfg, true),
                      "simd/k2-spacing500");
+}
+
+/**
+ * Two epochs of one parallel loop. The younger stores words 0..4 of a
+ * line, one store per sub-thread, then loads words 0..3: covered only
+ * by the union of four or more of its own contexts' store masks (the
+ * vectorized merge). The older stores word 0 long after that load, so
+ * a merge that leaves a word uncovered squashes the younger epoch.
+ * Only the oracle-off path merges store masks on a load.
+ */
+TEST_F(SimdGoldenTest, OwnStoreMergeIsSimdInvariant)
+{
+    constexpr std::uint64_t kSpacing = 200, kLine = 0x20000000;
+    const TraceRecord compute{
+        TraceOp::Compute, 0, static_cast<std::uint16_t>(ComputeClass::Int),
+        0x400000, kSpacing};
+    TraceSection sec{true, {EpochTrace{}, EpochTrace{}}};
+    EpochTrace &older = sec.epochs[0], &younger = sec.epochs[1];
+    older.records.assign(20, compute);
+    older.records.push_back({TraceOp::Store, 4, 0, 0x400100, kLine});
+    for (std::uint64_t w = 0; w < 5; ++w) {
+        younger.records.push_back(compute);
+        younger.records.push_back(
+            {TraceOp::Store, 4, 0, 0x400200, kLine + 4 * w});
+    }
+    younger.records.push_back(compute);
+    younger.records.push_back({TraceOp::Load, 16, 0, 0x400300, kLine});
+    for (EpochTrace &e : sec.epochs) {
+        for (const TraceRecord &r : e.records)
+            e.instCount += recordInsts(r);
+        e.specInstCount = e.instCount;
+    }
+    WorkloadTrace w;
+    w.txns.resize(1);
+    w.txns[0].sections.push_back(std::move(sec));
+    const BenchmarkTraces t(w, w, MachineConfig{}.mem.lineBytes);
+
+    ExperimentConfig cfg = ExperimentConfig::testPreset();
+    cfg.warmupTxns = 0;
+    cfg.machine.tls.subthreadsPerThread = 8;
+    cfg.machine.tls.subthreadSpacing = kSpacing;
+    cfg.machine.tls.useConflictOracle = false;
+    const RunResult vec = runScalar(Bar::Baseline, t, cfg, false);
+    EXPECT_EQ(vec.primaryViolations, 0u); // the merge covers the load
+    expectSameResult(vec, runScalar(Bar::Baseline, t, cfg, true),
+                     "simd/own-store-merge");
 }
 
 TEST_F(GoldenEquivTest, SmallSubthreadBudgetIsOracleInvariant)

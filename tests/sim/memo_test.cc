@@ -5,8 +5,9 @@
  * stands for, with the auditor off and at its strictest (the digest
  * covers RunResult::auditChecks, so the reduced sub-thread count must
  * not change what the auditor checks either); the reduction must sit
- * exactly at the edge the spawn rule allows; reassigned traces must
- * never see an old entry; and concurrent callers must agree with a
+ * exactly at the edge the spawn rule allows; the traces that hold the
+ * memo can be neither copied nor moved, and a machine whose line size
+ * is not the indexes' dies; and concurrent callers must agree with a
  * serial run.
  */
 
@@ -15,12 +16,14 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "base/stats.h"
 #include "core/resulthash.h"
 #include "sim/executor.h"
 #include "sim/experiment.h"
+#include "sim/tracecache.h"
 #include "verify/auditor.h"
 
 namespace tlsim {
@@ -45,39 +48,38 @@ memoHits()
 
 /** A machine built for this point alone, no memo in the way. */
 RunResult
-freshRun(const BenchmarkTraces &t, TraceBuild which,
-         const MachineConfig &mc, ExecMode mode, unsigned warmup)
+freshRun(const BenchmarkTraces &t, const SimPoint &p)
 {
-    const bool orig = which == TraceBuild::Original;
-    TlsMachine m(mc);
+    const bool orig = p.build == TraceBuild::Original;
+    TlsMachine m(p.machine);
     return verify::runWithAudit(
-        m, orig ? t.original : t.tls, mode, warmup,
+        m, orig ? t.original : t.tls, p.mode, p.warmup,
         (orig ? t.originalIndex : t.tlsIndex).get());
 }
 
-/** One simulation point of Figure 5 or Figure 6. */
+/** One simulation point of Figure 5 or Figure 6, spelled out apart
+ *  from barPoint()/sweepPoint(), so a wrong definition there shows. */
 struct Point
 {
     std::string name;
-    TraceBuild build;
-    MachineConfig machine;
-    ExecMode mode;
+    SimPoint point;
 };
 
 /** Every Figure 5 bar, then every Figure 6 grid point. */
 std::vector<Point>
 allPoints(const ExperimentConfig &cfg)
 {
+    const unsigned w = cfg.warmupTxns;
     MachineConfig nosub = cfg.machine;
     nosub.tls.subthreadsPerThread = 1;
     std::vector<Point> pts = {
-        {"SEQUENTIAL", TraceBuild::Original, cfg.machine,
-         ExecMode::Serial},
-        {"TLS-SEQ", TraceBuild::Tls, cfg.machine, ExecMode::Serial},
-        {"NO SUB-THREAD", TraceBuild::Tls, nosub, ExecMode::Tls},
-        {"BASELINE", TraceBuild::Tls, cfg.machine, ExecMode::Tls},
-        {"NO SPECULATION", TraceBuild::Tls, cfg.machine,
-         ExecMode::NoSpeculation},
+        {"SEQUENTIAL",
+         {TraceBuild::Original, cfg.machine, ExecMode::Serial, w}},
+        {"TLS-SEQ", {TraceBuild::Tls, cfg.machine, ExecMode::Serial, w}},
+        {"NO SUB-THREAD", {TraceBuild::Tls, nosub, ExecMode::Tls, w}},
+        {"BASELINE", {TraceBuild::Tls, cfg.machine, ExecMode::Tls, w}},
+        {"NO SPECULATION",
+         {TraceBuild::Tls, cfg.machine, ExecMode::NoSpeculation, w}},
     };
     for (unsigned k : kCounts) {
         for (std::uint64_t s : kSpacings) {
@@ -86,7 +88,7 @@ allPoints(const ExperimentConfig &cfg)
             mc.tls.subthreadSpacing = s;
             pts.push_back({"k" + std::to_string(k) + "/s" +
                                std::to_string(s),
-                           TraceBuild::Tls, mc, ExecMode::Tls});
+                           {TraceBuild::Tls, mc, ExecMode::Tls, w}});
         }
     }
     return pts;
@@ -103,8 +105,8 @@ TEST_P(MemoEquivalence, EveryPointMatchesAFreshRun)
     const auto [type, level] = GetParam();
     ExperimentConfig cfg = ExperimentConfig::testPreset();
     cfg.machine.tls.auditLevel = level;
-    BenchmarkTraces t = captureTraces(type, cfg);
-    t.buildIndexes(cfg.machine.mem.lineBytes);
+    const SharedTraces shared = captureTracesShared(type, cfg);
+    const BenchmarkTraces &t = *shared;
 
     const std::vector<Point> pts = allPoints(cfg);
     // The Figure 5 bars through runBar, the grid through runFigure6.
@@ -117,13 +119,10 @@ TEST_P(MemoEquivalence, EveryPointMatchesAFreshRun)
         memo.push_back(p.run);
     ASSERT_EQ(memo.size(), pts.size());
 
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        const Point &p = pts[i];
+    for (std::size_t i = 0; i < pts.size(); ++i)
         EXPECT_EQ(det::hashRunResult(memo[i]),
-                  det::hashRunResult(freshRun(t, p.build, p.machine,
-                                              p.mode, cfg.warmupTxns)))
-            << p.name;
-    }
+                  det::hashRunResult(freshRun(t, pts[i].point)))
+            << pts[i].name;
 
     // BASELINE and k8/s5000 are one exact configuration; the large
     // spacings share entries too unless the epochs are long (DELIVERY
@@ -177,59 +176,47 @@ edgeTraces(std::uint64_t spec)
         e.specInstCount = spec;
         sec.epochs.push_back(std::move(e));
     }
-    BenchmarkTraces t;
-    t.tls.txns.resize(1);
-    t.tls.txns[0].sections.push_back(std::move(sec));
-    t.original = t.tls;
-    return t;
+    WorkloadTrace w;
+    w.txns.resize(1);
+    w.txns[0].sections.push_back(std::move(sec));
+    return BenchmarkTraces(w, w, MachineConfig{}.mem.lineBytes);
 }
 
-MachineConfig
-edgeConfig(unsigned k)
+/** The TLS point with k sub-threads at kSpacing, no warm-up. */
+SimPoint
+edgePoint(unsigned k)
 {
-    MachineConfig mc;
-    mc.tls.subthreadsPerThread = k;
-    mc.tls.subthreadSpacing = kSpacing;
-    return mc;
+    SimPoint p;
+    p.machine.tls.subthreadsPerThread = k;
+    p.machine.tls.subthreadSpacing = kSpacing;
+    return p;
 }
 
 TEST(MemoEdge, OneInstructionShortOfTheSpacingSharesOneRun)
 {
-    BenchmarkTraces t = edgeTraces(kSpacing - 1);
-    t.buildIndexes(MachineConfig{}.mem.lineBytes);
+    const BenchmarkTraces t = edgeTraces(kSpacing - 1);
     for (unsigned k : {1u, 2u, 8u}) {
-        const MachineConfig mc = edgeConfig(k);
-        EXPECT_EQ(det::hashRunResult(
-                      simulate(t, TraceBuild::Tls, mc, ExecMode::Tls, 0)),
-                  det::hashRunResult(freshRun(t, TraceBuild::Tls, mc,
-                                              ExecMode::Tls, 0)))
+        const SimPoint p = edgePoint(k);
+        EXPECT_EQ(det::hashRunResult(simulate(t, p)),
+                  det::hashRunResult(freshRun(t, p)))
             << "k" << k;
     }
-    EXPECT_EQ(freshRun(t, TraceBuild::Tls, edgeConfig(8), ExecMode::Tls,
-                       0)
-                  .subthreadsStarted,
-              0u);
+    EXPECT_EQ(freshRun(t, edgePoint(8)).subthreadsStarted, 0u);
     EXPECT_EQ(t.results.keyCount(), 1u);
 }
 
 TEST(MemoEdge, ExactlyTheSpacingReachesASecondContext)
 {
     for (std::uint64_t spec : {kSpacing, kSpacing + 1}) {
-        BenchmarkTraces t = edgeTraces(spec);
-        t.buildIndexes(MachineConfig{}.mem.lineBytes);
+        const BenchmarkTraces t = edgeTraces(spec);
         for (unsigned k : {1u, 2u, 8u}) {
-            const MachineConfig mc = edgeConfig(k);
-            EXPECT_EQ(det::hashRunResult(simulate(t, TraceBuild::Tls, mc,
-                                                  ExecMode::Tls, 0)),
-                      det::hashRunResult(freshRun(t, TraceBuild::Tls, mc,
-                                                  ExecMode::Tls, 0)))
+            const SimPoint p = edgePoint(k);
+            EXPECT_EQ(det::hashRunResult(simulate(t, p)),
+                      det::hashRunResult(freshRun(t, p)))
                 << "spec " << spec << " k" << k;
         }
         // Sub-thread 1 does start, so one context would be wrong ...
-        EXPECT_EQ(freshRun(t, TraceBuild::Tls, edgeConfig(2),
-                           ExecMode::Tls, 0)
-                      .subthreadsStarted,
-                  4u)
+        EXPECT_EQ(freshRun(t, edgePoint(2)).subthreadsStarted, 4u)
             << "spec " << spec;
         // ... and k = 2 and k = 8 share one entry.
         EXPECT_EQ(t.results.keyCount(), 2u) << "spec " << spec;
@@ -238,62 +225,40 @@ TEST(MemoEdge, ExactlyTheSpacingReachesASecondContext)
 
 TEST(MemoEdge, InvalidConfigFailsBeforeTheLookup)
 {
-    BenchmarkTraces t = edgeTraces(kSpacing - 1);
-    t.buildIndexes(MachineConfig{}.mem.lineBytes);
-    simulate(t, TraceBuild::Tls, edgeConfig(8), ExecMode::Tls, 0);
+    const BenchmarkTraces t = edgeTraces(kSpacing - 1);
+    simulate(t, edgePoint(8));
     // 4 CPUs x 17 contexts is over the budget even though one context
     // is all these epochs can reach.
-    EXPECT_EXIT(simulate(t, TraceBuild::Tls, edgeConfig(17),
-                         ExecMode::Tls, 0),
-                ::testing::ExitedWithCode(1), "exceeds");
-    MachineConfig zero = edgeConfig(8);
-    zero.tls.subthreadSpacing = 0;
-    EXPECT_EXIT(simulate(t, TraceBuild::Tls, zero, ExecMode::Tls, 0),
-                ::testing::ExitedWithCode(1), "spacing");
+    EXPECT_EXIT(simulate(t, edgePoint(17)), ::testing::ExitedWithCode(1),
+                "exceeds");
+    SimPoint zero = edgePoint(8);
+    zero.machine.tls.subthreadSpacing = 0;
+    EXPECT_EXIT(simulate(t, zero), ::testing::ExitedWithCode(1),
+                "spacing");
 }
 
 // ---------------------------------------------------------------------
 // Identity of the traces behind an entry
 // ---------------------------------------------------------------------
 
-TEST(MemoIdentity, ReassignedTraceNeverReturnsAnOldResult)
+TEST(MemoIdentity, TracesAreNeitherCopiedNorMoved)
 {
-    ExperimentConfig cfg = ExperimentConfig::testPreset();
-    const unsigned lb = cfg.machine.mem.lineBytes;
-    BenchmarkTraces t = captureTraces(tpcc::TxnType::NewOrder, cfg);
-    t.buildIndexes(lb);
-    const RunResult before = runBar(Bar::Baseline, t, cfg);
-
-    BenchmarkTraces other =
-        captureTraces(tpcc::TxnType::StockLevel, cfg);
-    t.tls = std::move(other.tls);
-    t.buildIndexes(lb);
-    const RunResult after = runBar(Bar::Baseline, t, cfg);
-    EXPECT_NE(det::hashRunResult(after), det::hashRunResult(before));
-    EXPECT_EQ(det::hashRunResult(after),
-              det::hashRunResult(freshRun(t, TraceBuild::Tls,
-                                          cfg.machine, ExecMode::Tls,
-                                          cfg.warmupTxns)));
-
-    // A rebuilt index is a new key even for unchanged traces.
-    const std::uint64_t misses = memoMisses();
-    t.tlsIndex.reset();
-    t.buildIndexes(lb);
-    runBar(Bar::Baseline, t, cfg);
-    EXPECT_EQ(memoMisses(), misses + 1);
+    // A key names no trace: the memo lives in the one object that
+    // holds the workloads and indexes it was filled from.
+    static_assert(!std::is_copy_constructible_v<BenchmarkTraces>);
+    static_assert(!std::is_move_constructible_v<BenchmarkTraces>);
+    static_assert(!std::is_copy_assignable_v<BenchmarkTraces>);
+    static_assert(!std::is_move_assignable_v<BenchmarkTraces>);
 }
 
-TEST(MemoIdentity, CopiesStartEmpty)
+TEST(MemoIdentity, MachineOfAnotherLineSizeDies)
 {
-    ExperimentConfig cfg = ExperimentConfig::testPreset();
-    BenchmarkTraces t = captureTraces(tpcc::TxnType::Payment, cfg);
-    t.buildIndexes(cfg.machine.mem.lineBytes);
-    runBar(Bar::Baseline, t, cfg);
-    ASSERT_EQ(t.results.keyCount(), 1u);
-    BenchmarkTraces copy = t;
-    EXPECT_EQ(copy.results.keyCount(), 0u);
-    t = copy;
-    EXPECT_EQ(t.results.keyCount(), 0u);
+    const BenchmarkTraces t = edgeTraces(kSpacing - 1);
+    ASSERT_EQ(t.tlsIndex->lineBytes(), 32u);
+    SimPoint wide = edgePoint(8);
+    wide.machine.mem.lineBytes = 64;
+    EXPECT_EXIT(simulate(t, wide), ::testing::ExitedWithCode(1),
+                "64-byte lines");
 }
 
 // ---------------------------------------------------------------------
@@ -320,20 +285,18 @@ allArtifacts(const BenchmarkTraces &t, const ExperimentConfig &cfg,
 TEST(MemoParallel, FourWorkersMatchOneWorker)
 {
     ExperimentConfig cfg = ExperimentConfig::testPreset();
-    const unsigned lb = cfg.machine.mem.lineBytes;
-    const BenchmarkTraces captured =
-        captureTraces(tpcc::TxnType::NewOrder, cfg);
-
-    BenchmarkTraces serial_t = captured;
-    serial_t.buildIndexes(lb);
+    const SharedTraces captured =
+        captureTracesShared(tpcc::TxnType::NewOrder, cfg);
+    const BenchmarkTraces &serial_t = *captured;
     SimExecutor serial(1);
     const std::uint64_t m0 = memoMisses();
     const std::vector<std::uint64_t> one =
         allArtifacts(serial_t, cfg, serial);
     const std::uint64_t serial_misses = memoMisses() - m0;
 
-    BenchmarkTraces par_t = captured;
-    par_t.buildIndexes(lb);
+    // The same workloads in a second object, whose memo starts empty.
+    const BenchmarkTraces par_t(captured->original, captured->tls,
+                                cfg.machine.mem.lineBytes);
     SimExecutor par(4);
     const std::uint64_t m1 = memoMisses();
     const std::vector<std::uint64_t> four = allArtifacts(par_t, cfg, par);
@@ -348,8 +311,8 @@ TEST(MemoParallel, FourWorkersMatchOneWorker)
 TEST(MemoParallel, ConcurrentCallersOfOneKeyRunItOnce)
 {
     ExperimentConfig cfg = ExperimentConfig::testPreset();
-    BenchmarkTraces t = captureTraces(tpcc::TxnType::StockLevel, cfg);
-    t.buildIndexes(cfg.machine.mem.lineBytes);
+    const SharedTraces t =
+        captureTracesShared(tpcc::TxnType::StockLevel, cfg);
     SimExecutor ex(4);
     stats::GlobalCounters &gc = stats::GlobalCounters::instance();
     const std::uint64_t h0 = memoHits();
@@ -357,7 +320,7 @@ TEST(MemoParallel, ConcurrentCallersOfOneKeyRunItOnce)
     const std::uint64_t r0 = gc.value("replay.records");
     std::vector<RunResult> runs(16);
     ex.parallelFor(runs.size(), [&](std::size_t i) {
-        runs[i] = runBar(Bar::Baseline, t, cfg);
+        runs[i] = runBar(Bar::Baseline, *t, cfg);
     });
     EXPECT_EQ(memoMisses() - m0, 1u);
     EXPECT_EQ(memoHits() - h0, runs.size() - 1);

@@ -59,7 +59,7 @@ done
 
 echo "=== bisimulation: 1000 sampled schedules ==="
 "$tlsmc" --bisim --epochs=3 --k=2 --lines=2 --len=3 \
-    --samples=1000 --seed=0x5eed \
+    --samples=1000 --seed=24301 \
     --json="$out/bisim_1000.json"
 
 echo "=== seeded mutations (each must be caught) ==="

@@ -21,15 +21,17 @@
  *             (empirical soundness check of the reduction).
  *
  * Exit status: 0 success, 1 violation found (or, for --mutate, the
- * seeded bug escaped), 2 usage error.
+ * seeded bug escaped), 2 usage error (sim/cli.h: an unknown flag, a
+ * malformed number or a --shard that is not I/N).
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "sim/cli.h"
 #include "verify/modelcheck/bisim.h"
 #include "verify/modelcheck/explorer.h"
 #include "verify/modelcheck/model.h"
@@ -42,7 +44,6 @@ namespace {
 
 struct Args
 {
-    bool sweep = true;
     bool bisim = false;
     bool dpor = true;
     bool crossCheck = false;
@@ -64,104 +65,76 @@ struct Args
     std::string jsonPath;
 };
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--sweep|--bisim] [options]\n"
-        "  --epochs=N --k=K --lines=M --len=L   model bounds\n"
-        "  --spacing=S --tick=T                 spawn spacing / tick cost\n"
-        "  --whole-thread                       Figure 4(a): no start table\n"
-        "  --no-dpor                            naive full enumeration\n"
-        "  --cross-check                        DPOR vs naive outcome sets\n"
-        "  --mutate=<name>                      seeded-bug mode\n"
-        "  --samples=N --seed=S                 bisim sampling\n"
-        "  --max-steps=N                        path depth bound\n"
-        "  --shard=I/N                          explore tuples I mod N\n"
-        "  --progress                           progress lines to stderr\n"
-        "  --json=PATH                          write a JSON summary\n"
-        "  --quiet\n",
-        argv0);
-    std::exit(2);
-}
-
-bool
-flagValue(const char *arg, const char *name, const char **out)
-{
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        *out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
 Args
 parse(int argc, char **argv)
 {
+    using F = cli::Flag;
+    const cli::Args c(
+        "tlsmc",
+        {
+            {"sweep", F::Switch, "exhaustive sweep (the default mode)"},
+            {"bisim", F::Switch, "replay sampled schedules on the machine"},
+            {"epochs", F::Number, "model bound: epochs"},
+            {"k", F::Number, "model bound: sub-threads per epoch"},
+            {"lines", F::Number, "model bound: cache lines"},
+            {"len", F::Number, "model bound: operations per epoch"},
+            {"spacing", F::Number, "spawn spacing"},
+            {"tick", F::Number, "tick cost"},
+            {"whole-thread", F::Switch, "Figure 4(a): no start table"},
+            {"no-dpor", F::Switch, "naive full enumeration"},
+            {"cross-check", F::Switch, "DPOR vs naive outcome sets"},
+            {"mutate", F::Text,
+             "seeded bug: wrong-start-table, missed-secondary or "
+             "premature-recycle"},
+            {"samples", F::Number, "bisim samples"},
+            {"seed", F::Number, "bisim seed (default 24301)"},
+            {"max-steps", F::Number, "path depth bound"},
+            {"shard", F::Text, "I/N: explore tuples I mod N"},
+            {"progress", F::Switch, "progress lines to stderr"},
+            {"json", F::Text, "write a JSON summary to this path"},
+            {"quiet", F::Switch, "no summary on stderr"},
+        },
+        argc, argv, 1);
+    if (c.has("sweep") && c.has("bisim"))
+        c.fail("--sweep and --bisim exclude each other");
+
     Args a;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *v = nullptr;
-        if (std::strcmp(arg, "--sweep") == 0) {
-            a.sweep = true;
-            a.bisim = false;
-        } else if (std::strcmp(arg, "--bisim") == 0) {
-            a.bisim = true;
-            a.sweep = false;
-        } else if (std::strcmp(arg, "--no-dpor") == 0) {
-            a.dpor = false;
-        } else if (std::strcmp(arg, "--cross-check") == 0) {
-            a.crossCheck = true;
-        } else if (std::strcmp(arg, "--whole-thread") == 0) {
-            a.wholeThread = true;
-        } else if (std::strcmp(arg, "--quiet") == 0) {
-            a.quiet = true;
-        } else if (std::strcmp(arg, "--progress") == 0) {
-            a.progress = true;
-        } else if (flagValue(arg, "--shard", &v)) {
-            char *end = nullptr;
-            a.shardIndex =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (!end || *end != '/')
-                usage(argv[0]);
-            a.shardCount =
-                static_cast<unsigned>(std::strtoul(end + 1, nullptr, 10));
-            if (a.shardCount == 0 || a.shardIndex >= a.shardCount)
-                usage(argv[0]);
-        } else if (flagValue(arg, "--epochs", &v)) {
-            a.epochs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--k", &v)) {
-            a.k = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--lines", &v)) {
-            a.lines = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--len", &v)) {
-            a.len = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--spacing", &v)) {
-            a.spacing = std::strtoull(v, nullptr, 10);
-        } else if (flagValue(arg, "--tick", &v)) {
-            a.tick = std::strtoull(v, nullptr, 10);
-        } else if (flagValue(arg, "--samples", &v)) {
-            a.samples = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (flagValue(arg, "--seed", &v)) {
-            a.seed = std::strtoull(v, nullptr, 0);
-        } else if (flagValue(arg, "--max-steps", &v)) {
-            a.maxSteps = std::strtoull(v, nullptr, 10);
-        } else if (flagValue(arg, "--json", &v)) {
-            a.jsonPath = v;
-        } else if (flagValue(arg, "--mutate", &v)) {
-            if (std::strcmp(v, "wrong-start-table") == 0)
-                a.mutation = Mutation::WrongStartTable;
-            else if (std::strcmp(v, "missed-secondary") == 0)
-                a.mutation = Mutation::MissedSecondary;
-            else if (std::strcmp(v, "premature-recycle") == 0)
-                a.mutation = Mutation::PrematureRecycle;
-            else
-                usage(argv[0]);
-        } else {
-            usage(argv[0]);
-        }
+    a.bisim = c.has("bisim");
+    a.dpor = !c.has("no-dpor");
+    a.crossCheck = c.has("cross-check");
+    a.wholeThread = c.has("whole-thread");
+    a.quiet = c.has("quiet");
+    a.progress = c.has("progress");
+    a.epochs = c.u32("epochs", a.epochs);
+    a.k = c.u32("k", a.k);
+    a.lines = c.u32("lines", a.lines);
+    a.len = c.u32("len", a.len);
+    a.spacing = c.num("spacing", a.spacing);
+    a.tick = c.num("tick", a.tick);
+    a.samples = c.u32("samples", a.samples);
+    a.seed = c.num("seed", a.seed);
+    a.maxSteps = c.num("max-steps", a.maxSteps);
+    a.jsonPath = c.str("json");
+    if (c.has("mutate")) {
+        for (Mutation m : {Mutation::WrongStartTable,
+                           Mutation::MissedSecondary,
+                           Mutation::PrematureRecycle})
+            if (c.str("mutate") == mutationName(m))
+                a.mutation = m;
+        if (a.mutation == Mutation::None)
+            c.fail("bad value for --mutate=" + c.str("mutate"));
+    }
+    if (c.has("shard")) {
+        const std::string v = c.str("shard");
+        const char *end = v.data() + v.size();
+        const auto [slash, ec] =
+            std::from_chars(v.data(), end, a.shardIndex);
+        std::from_chars_result count{};
+        if (ec == std::errc() && slash != end && *slash == '/')
+            count = std::from_chars(slash + 1, end, a.shardCount);
+        if (count.ptr != end || count.ec != std::errc() ||
+            a.shardCount == 0 || a.shardIndex >= a.shardCount)
+            c.fail("bad value for --shard=" + v + " (want I/N, I < N)");
     }
     return a;
 }
